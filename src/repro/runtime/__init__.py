@@ -12,11 +12,11 @@ one process; this package moves the expensive halves out of it:
   workers behind the coordinator's ``build_runner`` seam: admission,
   dedup, fan-out and cancellation stay in-process, the training CPU
   moves out.
-* :mod:`repro.runtime.broker` — :class:`BuildBroker`, the admission
-  queue itself as a process: one broker owns the priority queue and
-  identity dedup for N server processes, pool workers pull builds, and
+* :mod:`repro.runtime.broker` — :class:`BuildBroker`, admission as a
+  process: one broker drives the same admission core as the
+  coordinator for N server processes, pool workers pull builds, and
   one published pack fans out to every subscribing server.  Servers
-  degrade to inline-thread refresh if the broker dies.
+  degrade to a private in-process coordinator if the broker dies.
 * :mod:`repro.runtime.fleet` — :class:`ShardedFleet`, a
   :class:`~repro.streaming.multi.StreamFleet` sharded over N forked
   server processes (stable crc32 routing), with scatter/gather
@@ -36,7 +36,7 @@ from .shm import (AttachedPack, OrphanedSegmentError, PackServedEnsemble,
                   list_segments, publish_pack, segment_namespace,
                   set_segment_namespace, sweep_orphans, unlink_pack)
 from .pool import ProcessBuildPool, WorkerCrashed, worker_context
-from .broker import BrokerClient, BuildBroker, ProcessCoordinator
+from .broker import BuildBroker, ProcessCoordinator
 from .fleet import ShardCrashed, ShardedFleet, shard_for
 from .supervisor import (BREAKER_STATES, BreakerOpen, CircuitBreaker,
                          RestartPolicy, RetryPolicy)
@@ -47,7 +47,7 @@ __all__ = [
     "list_segments", "publish_pack", "segment_namespace",
     "set_segment_namespace", "sweep_orphans", "unlink_pack",
     "ProcessBuildPool", "WorkerCrashed", "worker_context",
-    "BrokerClient", "BuildBroker", "ProcessCoordinator",
+    "BuildBroker", "ProcessCoordinator",
     "ShardCrashed", "ShardedFleet", "shard_for",
     "BREAKER_STATES", "BreakerOpen", "CircuitBreaker",
     "RestartPolicy", "RetryPolicy",

@@ -10,11 +10,12 @@ process:
 * server processes submit over a shared inbox queue; each server owns a
   **port** (a reply queue created before the fork, so every process
   inherits the plumbing);
-* the broker owns the priority queue and dedup table (keyed by an
-  explicit ``ensemble_key`` — object identity cannot cross a process
-  boundary) and dispatches admitted builds to its pool of build worker
-  processes (:func:`repro.runtime.pool._worker_main`, the same loop the
-  in-process pool uses);
+* the broker drives the same
+  :class:`~repro.streaming.admission.Admission` core as the coordinator
+  (dedup keyed by an explicit ``_broker_key`` — object identity cannot
+  cross a process boundary) and dispatches admitted builds to its build
+  worker processes (:func:`repro.runtime.pool._worker_main`, the same
+  loop the in-process pool uses);
 * a finished build is published **once** to shared memory; the broker
   fans the manifest out to every subscribing port, and each server
   attaches the same segment zero-copy.  When a newer generation for the
@@ -25,9 +26,11 @@ Failure model — the part the fault-injection battery exercises: clients
 probe the broker process for liveness on every port pump.  A dead broker
 resolves all pending requests to ``discarded`` (each engine restores its
 refresh request at the next boundary, exactly like a coordinator
-shutdown) and flips the client into **degraded mode**, where submits run
-on a private in-process :class:`~repro.streaming.worker.RefreshWorker`
-thread — refreshes keep happening locally, serving never deadlocks.
+shutdown) and flips the port into **degraded mode**, where submits run
+on one private in-process
+:class:`~repro.streaming.coordinator.RefreshCoordinator` with the same
+cap and policy — refreshes keep happening locally, serving never
+deadlocks.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import dataclasses
 import multiprocessing as mp
 import os
 import queue
-import random
 import secrets
 import threading
 import time
@@ -45,66 +47,36 @@ from typing import Dict, List, Optional
 
 from .. import faults
 from ..obs import default_registry
-from ..streaming.coordinator import AdmissionClosed, CoordinatorStats
-from ..streaming.worker import (REFIRE_POLICIES, RefreshHandle,
-                                RefreshWorker, _BuildConsumer)
+from ..streaming.admission import (Admission, AdmissionClosed, CancelWorker,
+                                   CoordinatorStats, Dispatch, Resolve)
+from ..streaming.coordinator import (CoordinatedRefreshClient,
+                                     RefreshCoordinator, _report_for)
+from ..streaming.worker import RefreshHandle
 from . import shm
 from .pool import WorkerCrashed, _worker_main
-from .supervisor import RestartPolicy
+from .supervisor import RestartPolicy, RetryPolicy
 
 _POLL_SECONDS = 0.05
-ADMISSION_POLICIES = ("fifo", "priority")
-
-
-def _pid_alive(pid: Optional[int]) -> bool:
-    if pid is None:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 # ----------------------------------------------------------------------
 # Broker process
 # ----------------------------------------------------------------------
-class _BrokerBuild:
-    __slots__ = ("job_id", "key", "priority", "seq", "status", "payload",
-                 "subscribers", "worker_index", "worker_pid",
-                 "cancel_requested", "attempts", "not_before")
-
-    def __init__(self, job_id, key, priority, seq, payload):
-        self.job_id = job_id
-        self.key = key
-        self.priority = priority
-        self.seq = seq
-        self.status = "queued"            # queued -> building -> terminal
-        self.payload = payload            # (refresher, ensemble, history,
-        self.subscribers = []             #  kwargs)
-        self.worker_index = None
-        self.worker_pid = None
-        self.cancel_requested = False
-        self.attempts = 0                 # failed tries so far
-        self.not_before = 0.0             # backoff gate for re-admission
-
-
 def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
-                 policy, namespace, drain_timeout, max_build_retries,
-                 retry_delay) -> None:
+                 policy, namespace, drain_timeout, retry) -> None:
+    """The broker's message loop: the process transport of the
+    :class:`~repro.streaming.admission.Admission` core.
+
+    Messages become admission events; the core's actions become task
+    puts, worker cancel flags and port replies.  Only the broker's own
+    work lives here: publishing manifests (unlinking the superseded
+    generation) and reaping dead build workers on idle ticks.
+    """
     shm.set_segment_namespace(namespace)
-    builds: Dict[int, _BrokerBuild] = {}
-    pending: List[int] = []
-    running: List[int] = []
-    worker_jobs: Dict[int, int] = {}
+    admission = Admission(max_concurrent, policy, retry)
+    workers: Dict[int, tuple] = {}     # build id -> (worker index, pid)
+    triggers: Dict[tuple, int] = {}    # (port, request id) -> trigger
     latest_manifest: Dict[str, dict] = {}
-    counters = {"n_requests": 0, "n_deduped": 0, "n_admitted": 0,
-                "n_completed": 0, "n_failed": 0, "n_cancelled": 0,
-                "n_retried": 0, "max_concurrent": 0}
-    next_job = 0
-    shutting_down = False
     deadline = None
 
     def reply(port_index, message):
@@ -113,217 +85,109 @@ def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
         except (ValueError, OSError):
             pass
 
-    def pump():
-        now = time.monotonic()
-        eligible = [j for j in pending if builds[j].not_before <= now]
-        while eligible and len(running) < max_concurrent:
-            if policy == "priority":
-                job_id = min(eligible, key=lambda j: (-builds[j].priority,
-                                                      builds[j].seq))
-            else:
-                job_id = eligible[0]
-            eligible.remove(job_id)
-            pending.remove(job_id)
-            build = builds[job_id]
-            build.status = "building"
-            running.append(job_id)
-            counters["n_admitted"] += 1
-            counters["max_concurrent"] = max(counters["max_concurrent"],
-                                             len(running))
-            # The payload is retained (not handed off) so a build whose
-            # worker dies can be re-queued with backoff.
-            refresher, ensemble, history, kwargs = build.payload
-            tasks.put((job_id, refresher, ensemble, history, kwargs,
-                       True, None))
+    def perform(actions):
+        for action in actions:
+            build = action.build
+            if isinstance(action, Dispatch):
+                refresher, ensemble, history, kwargs = build.payload
+                tasks.put((build.id, refresher, ensemble, history, kwargs,
+                           True, None))
+            elif isinstance(action, CancelWorker):
+                # A build no worker has reported yet is stopped when its
+                # worker does (admission.started).
+                if build.id in workers:
+                    cancel_events[workers[build.id][0]].set()
+            elif isinstance(action, Resolve):
+                replacement = report = manifest = error = None
+                if action.status == "ready":
+                    replacement, report, manifest = action.result
+                    superseded = latest_manifest.get(build.key)
+                    if manifest is not None:
+                        latest_manifest[build.key] = manifest
+                        if superseded is not None:
+                            # Live mappings survive the unlink; only new
+                            # attaches fail (and fall back to a local
+                            # re-pack).
+                            shm.unlink_pack(superseded)
+                elif action.status == "failed":
+                    error = action.result
+                for subscriber in action.subscribers:
+                    port_index, request_id = subscriber
+                    reply(port_index, (
+                        "resolved", request_id, action.status, replacement,
+                        _report_for(report, triggers.pop(subscriber)),
+                        manifest, error))
 
-    def fail_or_retry(job_id, error):
-        """Terminal failure unless the build has retry budget left."""
-        build = builds.get(job_id)
-        if build is None:
-            return
-        if (build.attempts < max_build_retries and build.subscribers
-                and not build.cancel_requested and not shutting_down
-                and build.payload is not None):
-            build.attempts += 1
-            counters["n_retried"] += 1
-            if job_id in running:
-                running.remove(job_id)
-            if build.worker_index is not None:
-                worker_jobs.pop(build.worker_index, None)
-            build.worker_index = None
-            build.worker_pid = None
-            # Exponential backoff with full jitter before re-admission.
-            ceiling = retry_delay * (2.0 ** (build.attempts - 1))
-            build.not_before = time.monotonic() \
-                + random.uniform(0.0, ceiling)
-            build.status = "queued"
-            pending.append(job_id)
-            pump()
+    def attempt_ended(kind, build_id, first, report=None, manifest=None):
+        workers.pop(build_id, None)
+        if kind == "done":
+            actions = admission.done(build_id, (first, report, manifest))
+            if manifest is not None and not any(
+                    isinstance(action, Resolve) and action.status == "ready"
+                    for action in actions):
+                shm.unlink_pack(manifest)       # nobody wants it
+        elif kind == "failed":
+            actions = admission.failed(build_id, first, time.monotonic())
         else:
-            finish(job_id, "failed", error=error)
-
-    def reap_dead_workers():
-        """A SIGKILLed worker never reports back: detect it by pid and
-        fail (or retry) the build it was running."""
-        for job_id in list(running):
-            build = builds[job_id]
-            if build.worker_pid is not None \
-                    and not _pid_alive(build.worker_pid):
-                fail_or_retry(job_id, WorkerCrashed(
-                    f"build worker (pid {build.worker_pid}) died while "
-                    f"training build {job_id}"))
-
-    def fan_out(build, status, replacement=None, report=None,
-                manifest=None, error=None):
-        for port_index, request_id, trigger_index in build.subscribers:
-            fan_report = report
-            if status == "ready":
-                try:
-                    fan_report = dataclasses.replace(
-                        report, trigger_index=trigger_index)
-                except TypeError:
-                    pass
-            reply(port_index, ("resolved", request_id, status,
-                               replacement, fan_report, manifest, error))
-        build.subscribers = []
-
-    def finish(job_id, status, replacement=None, report=None,
-               manifest=None, error=None):
-        build = builds.pop(job_id, None)
-        if build is None:
-            if manifest is not None:
-                shm.unlink_pack(manifest)
-            return
-        if job_id in running:
-            running.remove(job_id)
-        if build.worker_index is not None:
-            worker_jobs.pop(build.worker_index, None)
-        if status == "ready" and build.subscribers:
-            counters["n_completed"] += 1
-            if manifest is not None:
-                superseded = latest_manifest.get(build.key)
-                latest_manifest[build.key] = manifest
-                if superseded is not None:
-                    # Live mappings survive the unlink; only new attaches
-                    # fail (and fall back to a local re-pack).
-                    shm.unlink_pack(superseded)
-        else:
-            if manifest is not None:
-                shm.unlink_pack(manifest)
-            if status == "failed":
-                counters["n_failed"] += 1
-            else:
-                counters["n_cancelled"] += 1
-                status = "discarded"
-        fan_out(build, "ready" if status == "ready" else
-                ("failed" if status == "failed" else "discarded"),
-                replacement, report, manifest, error)
-        pump()
+            actions = admission.cancelled(build_id)
+        perform(actions)
 
     while True:
         try:
             message = inbox.get(timeout=_POLL_SECONDS)
         except queue.Empty:
-            if shutting_down and (not running
-                                  or time.monotonic() > deadline):
-                break
-            # Idle tick: reap SIGKILLed workers and admit any build whose
-            # backoff gate has opened.
-            reap_dead_workers()
-            pump()
-            continue
+            # Idle tick: a SIGKILLed worker never reports back, so detect
+            # it by pid and fail (or retry) the build it was running.
+            for build_id, (_, pid) in list(workers.items()):
+                if not shm.pid_alive(pid):
+                    attempt_ended("failed", build_id, WorkerCrashed(
+                        f"build worker (pid {pid}) died while training "
+                        f"build {build_id}"))
         except (EOFError, OSError):
             break
-        if faults.enabled:
-            faults.point("broker.loop")
-        kind = message[0]
-        if kind == "submit":
-            (_, port_index, request_id, key, priority, trigger_index,
-             refresher, ensemble, history, kwargs) = message
-            if shutting_down:
-                reply(port_index, ("resolved", request_id, "discarded",
-                                   None, None, None, None))
-                continue
-            counters["n_requests"] += 1
-            joined = False
-            for build in builds.values():
-                if build.key == key and build.status in ("queued",
-                                                         "building") \
-                        and not build.cancel_requested:
-                    build.subscribers.append((port_index, request_id,
-                                              trigger_index))
-                    counters["n_deduped"] += 1
-                    joined = True
-                    break
-            if joined:
-                continue
-            build = _BrokerBuild(next_job, key, priority, next_job,
-                                 (refresher, ensemble, history, kwargs))
-            build.subscribers.append((port_index, request_id,
-                                      trigger_index))
-            builds[next_job] = build
-            pending.append(next_job)
-            next_job += 1
-            pump()
-        elif kind == "cancel":
-            _, port_index, request_id = message
-            for job_id, build in list(builds.items()):
-                subscribers = [s for s in build.subscribers
-                               if s[:2] != (port_index, request_id)]
-                if len(subscribers) == len(build.subscribers):
+        else:
+            if faults.enabled:
+                faults.point("broker.loop")
+            kind = message[0]
+            if kind == "submit":
+                (_, port_index, request_id, key, priority, trigger_index,
+                 refresher, ensemble, history, kwargs) = message
+                subscriber = (port_index, request_id)
+                try:
+                    _, actions = admission.submit(
+                        key, subscriber, priority,
+                        (refresher, ensemble, history, kwargs))
+                except AdmissionClosed:
+                    reply(port_index, ("resolved", request_id, "discarded",
+                                       None, None, None, None))
                     continue
-                build.subscribers = subscribers
-                if not subscribers:
-                    build.cancel_requested = True
-                    if build.status == "queued":
-                        pending.remove(job_id)
-                        builds.pop(job_id)
-                        counters["n_cancelled"] += 1
-                    elif build.worker_index is not None:
-                        cancel_events[build.worker_index].set()
-                break
-        elif kind == "stats":
-            _, port_index, request_id = message
-            reply(port_index, ("stats", request_id, dict(counters),
-                               len(pending), len(running)))
-        elif kind == "shutdown":
-            shutting_down = True
-            deadline = time.monotonic() + drain_timeout
-            for job_id in list(pending):
-                pending.remove(job_id)
-                build = builds.pop(job_id)
-                counters["n_cancelled"] += 1
-                fan_out(build, "discarded")
-            for job_id in running:
-                build = builds[job_id]
-                build.cancel_requested = True
-                if build.worker_index is not None:
-                    cancel_events[build.worker_index].set()
-            if not running:
-                break
-        elif kind == "started":
-            _, job_id, worker_index, worker_pid = message
-            build = builds.get(job_id)
-            if build is None:
-                continue
-            build.worker_index = worker_index
-            build.worker_pid = worker_pid
-            worker_jobs[worker_index] = job_id
-            if build.cancel_requested:
-                cancel_events[worker_index].set()
-        elif kind in ("done", "cancelled", "failed"):
-            _, job_id, first, report, manifest = message
-            if kind == "done":
-                finish(job_id, "ready", replacement=first, report=report,
-                       manifest=manifest)
-            elif kind == "failed":
-                fail_or_retry(job_id, first)
-            else:
-                finish(job_id, "cancelled")
+                triggers[subscriber] = trigger_index
+                perform(actions)
+            elif kind == "cancel":
+                _, port_index, request_id = message
+                triggers.pop((port_index, request_id), None)
+                perform(admission.unsubscribe((port_index, request_id)))
+            elif kind == "stats":
+                _, port_index, request_id = message
+                reply(port_index, ("stats", request_id, admission.stats()))
+            elif kind == "shutdown":
+                deadline = time.monotonic() + drain_timeout
+                perform(admission.shutdown())
+            elif kind == "started":
+                _, build_id, worker_index, worker_pid = message
+                workers[build_id] = (worker_index, worker_pid)
+                perform(admission.started(build_id))
+            elif kind in ("done", "cancelled", "failed"):
+                attempt_ended(*message)
+        perform(admission.tick(time.monotonic()))
+        if admission.closed and (not admission.n_running
+                                 or time.monotonic() > deadline):
+            break
     # Drain hit its deadline or every build resolved: abandon stragglers
     # so no subscriber is left waiting on a queue nobody will feed.
-    for job_id in list(builds):
-        finish(job_id, "cancelled")
+    perform(admission.shutdown())
+    for build in admission.running:
+        perform(admission.cancelled(build.id))
     for manifest in latest_manifest.values():
         shm.unlink_pack(manifest)
     shm.sweep_orphans(namespace)
@@ -347,10 +211,10 @@ class BuildBroker:
                     :func:`repro.runtime.pool.worker_context` (test
                     gates; see the pool docs).
     namespace:      shm namespace for published packs.
-    max_build_retries / retry_delay: in-broker retry budget for failed
-                    builds (worker crash or build exception) — each
-                    retry re-queues after exponential backoff with full
-                    jitter over ``retry_delay``.
+    retry:          optional :class:`~repro.runtime.supervisor.RetryPolicy`
+                    for failed builds (worker crash or build exception),
+                    the coordinator's rule: a retrying build keeps its
+                    slot and re-runs once the policy's backoff passes.
     restart:        a :class:`~repro.runtime.supervisor.RestartPolicy`
                     enabling supervision: a watchdog thread respawns a
                     dead broker process over the **same** queues (ports
@@ -366,17 +230,12 @@ class BuildBroker:
                  worker_context: Optional[dict] = None,
                  namespace: Optional[str] = None,
                  drain_timeout: float = 10.0,
-                 max_build_retries: int = 0, retry_delay: float = 0.05,
+                 retry: Optional[RetryPolicy] = None,
                  restart: Optional[RestartPolicy] = None,
                  watchdog_interval: float = 0.05):
         if n_ports < 1:
             raise ValueError(f"n_ports must be >= 1, got {n_ports}")
-        if max_concurrent_builds < 1:
-            raise ValueError(f"max_concurrent_builds must be >= 1, "
-                             f"got {max_concurrent_builds}")
-        if policy not in ADMISSION_POLICIES:
-            raise ValueError(f"policy must be one of {ADMISSION_POLICIES}, "
-                             f"got {policy!r}")
+        Admission(max_concurrent_builds, policy)    # validate before forking
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError("BuildBroker requires the 'fork' start "
                                "method (POSIX)")
@@ -387,8 +246,7 @@ class BuildBroker:
             else namespace
         self.n_workers = self.max_concurrent_builds if n_workers is None \
             else int(n_workers)
-        self.max_build_retries = int(max_build_retries)
-        self.retry_delay = float(retry_delay)
+        self.retry = retry
         self._drain_timeout = float(drain_timeout)
         self._inbox = self._ctx.Queue()
         self._tasks = self._ctx.Queue()
@@ -437,7 +295,7 @@ class BuildBroker:
             args=(self._inbox, self._port_queues, self._tasks,
                   self._cancel_events, self.max_concurrent_builds,
                   self.policy, self.namespace, self._drain_timeout,
-                  self.max_build_retries, self.retry_delay),
+                  self.retry),
             name="refresh-broker", daemon=True)
         self._process.start()
         self._pid_value.value = self._process.pid
@@ -447,7 +305,7 @@ class BuildBroker:
         return self._process.pid
 
     def alive(self) -> bool:
-        return self._process.exitcode is None and _pid_alive(self.pid)
+        return self._process.exitcode is None and shm.pid_alive(self.pid)
 
     # -- supervision ---------------------------------------------------
     def restart(self) -> bool:
@@ -561,21 +419,13 @@ class BuildBroker:
 # ----------------------------------------------------------------------
 # Server side
 # ----------------------------------------------------------------------
-class _PendingRequest:
-    __slots__ = ("client", "handle")
-
-    def __init__(self, client, handle):
-        self.client = client
-        self.handle = handle
-
-
 class BrokerPort:
     """One server process's channel to the broker.
 
     Thread-safe within its process: the engine thread pumps it on every
     poll, stats calls pump it synchronously.  On broker death the pump
     resolves every pending request to ``discarded`` and marks the port
-    degraded — clients then build locally.
+    degraded — its coordinator then builds locally.
     """
 
     def __init__(self, broker: BuildBroker, index: int):
@@ -588,8 +438,8 @@ class BrokerPort:
         self._broker_pid = broker.pid
         self._pid_value = broker._pid_value
         self._lock = threading.Lock()
-        self._pending: Dict[tuple, _PendingRequest] = {}
-        self._stats_replies: Dict[tuple, tuple] = {}
+        self._pending: Dict[tuple, RefreshHandle] = {}
+        self._stats_replies: Dict[tuple, CoordinatorStats] = {}
         self._next_request = 0
         # Request ids carry a per-port-instance token: a respawned shard
         # builds a fresh port over the same queue, and the token keeps
@@ -600,34 +450,44 @@ class BrokerPort:
         self.n_reattached = 0
 
     def alive(self) -> bool:
-        return not self.degraded and _pid_alive(self._broker_pid)
+        return not self.degraded and shm.pid_alive(self._broker_pid)
 
     def send(self, message) -> None:
         self._inbox.put(message)
 
-    def allocate(self, client, handle) -> tuple:
+    def allocate(self, handle: RefreshHandle) -> tuple:
         with self._lock:
             request_id = (self._token, self._next_request)
             self._next_request += 1
-            self._pending[request_id] = _PendingRequest(client, handle)
+            self._pending[request_id] = handle
         return request_id
 
-    def forget(self, request_id: tuple) -> None:
+    def release(self, handle: RefreshHandle) -> Optional[tuple]:
+        """Stop tracking ``handle``; its request id, or None when it is
+        not pending here."""
         with self._lock:
-            self._pending.pop(request_id, None)
+            for request_id, pending in self._pending.items():
+                if pending is handle:
+                    del self._pending[request_id]
+                    return request_id
+        return None
+
+    def pending_handles(self) -> List[RefreshHandle]:
+        with self._lock:
+            return list(self._pending.values())
 
     def _degrade(self) -> None:
         """Broker died: fail over.  Pending handles resolve to
         ``discarded`` so each engine restores its request and re-submits
-        — the resubmission lands on the client's local fallback worker."""
+        — the resubmission lands on the coordinator's local fallback."""
         with self._lock:
             if self.degraded:
                 return
             self.degraded = True
-            pending, self._pending = dict(self._pending), {}
-        for request in pending.values():
-            request.handle._resolve("discarded")
-            request.handle.done.set()
+            pending, self._pending = list(self._pending.values()), {}
+        for handle in pending:
+            handle._resolve("discarded")
+            handle.done.set()
 
     def pump(self) -> None:
         """Drain broker replies; detect broker death."""
@@ -641,18 +501,16 @@ class BrokerPort:
                 return
             if message[0] == "stats":
                 with self._lock:
-                    self._stats_replies[message[1]] = message[2:]
+                    self._stats_replies[message[1]] = message[2]
                 continue
             _, request_id, status, replacement, report, manifest, error \
                 = message
             with self._lock:
-                request = self._pending.pop(request_id, None)
-            if request is None:
-                continue
-            request.client._resolve_remote(request.handle, status,
-                                           replacement, report, manifest,
-                                           error)
-        if not self.degraded and not _pid_alive(self._broker_pid):
+                handle = self._pending.pop(request_id, None)
+            if handle is not None:
+                _resolve_remote(handle, status, replacement, report,
+                                manifest, error)
+        if not self.degraded and not shm.pid_alive(self._broker_pid):
             self._degrade()
         if self.degraded:
             self._probe_broker()
@@ -666,7 +524,7 @@ class BrokerPort:
         submission instead of degrading forever.
         """
         current = self._pid_value.value
-        if current == self._broker_pid or not _pid_alive(current):
+        if current == self._broker_pid or not shm.pid_alive(current):
             return
         with self._lock:
             self._broker_pid = current
@@ -676,7 +534,7 @@ class BrokerPort:
         if registry.enabled:
             registry.counter("repro_broker_reattached_total").inc()
 
-    def stats(self, timeout: float = 2.0) -> Optional[tuple]:
+    def stats(self, timeout: float = 2.0) -> Optional[CoordinatorStats]:
         """Synchronous admission counters from the broker (None when the
         broker is unreachable)."""
         if not self.alive():
@@ -701,189 +559,26 @@ class BrokerPort:
         return None
 
 
-class BrokerClient(_BuildConsumer):
-    """Per-stream consumer over a :class:`BrokerPort`; the engine drives
-    it exactly like a :class:`CoordinatedRefreshClient`.
-
-    Degraded mode (broker dead) delegates the whole consumer surface to
-    a private in-process :class:`RefreshWorker` over the same refresher:
-    refreshes continue locally, nothing deadlocks.
-    """
-
-    def __init__(self, coordinator: "ProcessCoordinator", refresher,
-                 on_refire: str = "queue", priority: int = 0):
-        if on_refire not in REFIRE_POLICIES:
-            raise ValueError(f"on_refire must be one of {REFIRE_POLICIES}, "
-                             f"got {on_refire!r}")
-        self.coordinator = coordinator
-        self.refresher = refresher
-        self.on_refire = on_refire
-        self.priority = int(priority)
-        self._handle: Optional[RefreshHandle] = None
-        self._fallback: Optional[RefreshWorker] = None
-
-    # -- degraded-mode plumbing ---------------------------------------
-    def _local(self) -> Optional[RefreshWorker]:
-        fallback = self._fallback
-        if fallback is not None and fallback.attached_handle is not None:
-            # A local build started during a degraded window runs to
-            # completion even if the port re-attached meanwhile.
-            return fallback
-        if self.coordinator.port.degraded:
-            if fallback is None:
-                self._fallback = RefreshWorker(self.refresher,
-                                               on_refire=self.on_refire)
-            return self._fallback
-        return None
-
-    @property
-    def accepting(self) -> bool:
-        if self.coordinator._closed:
-            return False
-        local = self._local()
-        if local is not None:
-            return local.accepting
-        return True
-
-    @property
-    def handle(self):
-        local = self._local()
-        if local is not None and local.attached_handle is not None:
-            return local.handle
-        return super().handle
-
-    @property
-    def attached_handle(self):
-        local = self._local()
-        if local is not None and local.attached_handle is not None:
-            return local.attached_handle
-        return self._handle
-
-    def _drain(self):
-        self.coordinator.port.pump()
-
-    def poll(self):
-        local = self._local()
-        if local is not None and local.attached_handle is not None:
-            return local.poll()
-        return super().poll()
-
-    def take(self):
-        local = self._local()
-        if local is not None and local.attached_handle is not None:
-            return local.take()
-        handle = self.poll()
-        if handle is not None:
-            self._handle = None
-        return handle
-
-    # -- submission ----------------------------------------------------
-    def submit(self, ensemble, history, trigger_index: int,
-               generation: Optional[int] = None,
-               trace=None) -> RefreshHandle:
-        if self.busy:
-            raise RuntimeError("a refresh build is already in flight; "
-                               "poll or discard it before submitting")
-        if not self.accepting:
-            raise AdmissionClosed("broker coordinator is shut down; no "
-                                  "further refresh builds are admitted")
-        if generation is None:
-            generation = self.refresher.n_refreshes
-        port = self.coordinator.port
-        port.pump()
-        local = self._local()
-        if local is not None:
-            return local.submit(ensemble, history, trigger_index,
-                                generation=generation, trace=trace)
-        handle = RefreshHandle(trigger_index, generation)
-        request_id = port.allocate(self, handle)
-        payload = ensemble
-        if hasattr(ensemble, "_fused_scorer"):
-            payload = copy.copy(ensemble)
-            payload._fused_scorer = None
-        kwargs = dict(generation=int(generation),
-                      trigger_index=int(trigger_index), mode="process")
-        key = getattr(ensemble, "_broker_key", None)
-        if key is None:
-            key = f"{port.index}:{id(ensemble)}"
-        if trace is not None:
-            # Queue wait happens in another process; close the admission
-            # span at hand-off so the trace never dangles.
-            trace[1].set_attribute("remote", True)
-            trace[1].end()
-        try:
-            port.send(("submit", port.index, request_id, key,
-                       self.priority, int(trigger_index), self.refresher,
-                       payload, history, kwargs))
-        except (ValueError, OSError):
-            port.forget(request_id)
-            port._degrade()
-            return self._local().submit(ensemble, history, trigger_index,
-                                        generation=generation)
-        self._handle = handle
-        return handle
-
-    def _resolve_remote(self, handle: RefreshHandle, status: str,
-                        replacement, report, manifest, error) -> None:
-        """Port-pump callback: a broker reply resolves our handle."""
-        if status == "ready":
-            if manifest is not None and replacement is not None:
-                try:
-                    shm.attach_pack_to_ensemble(replacement, manifest)
-                except Exception:
-                    # Segment superseded/unlinked before we attached:
-                    # re-pack locally rather than failing the refresh.
-                    prepare = getattr(replacement, "prepare_fused", None)
-                    if prepare is not None:
-                        prepare()
-            handle._finish("ready", replacement=replacement,
-                           report=report)
-        elif status == "failed":
-            handle._finish("failed", error=error if error is not None
-                           else RuntimeError("broker build failed"))
-        else:
-            handle._resolve("discarded")
-        handle.done.set()
-
-    def discard(self) -> Optional[RefreshHandle]:
-        local = self._local()
-        if local is not None and local.attached_handle is not None:
-            return local.discard()
-        handle = self._handle
-        self._handle = None
-        if handle is not None:
-            with self.coordinator.port._lock:
-                request_id = next(
-                    (rid for rid, req
-                     in self.coordinator.port._pending.items()
-                     if req.handle is handle), None)
-            if request_id is not None:
-                self.coordinator.port.forget(request_id)
-                try:
-                    self.coordinator.port.send(
-                        ("cancel", self.coordinator.port.index,
-                         request_id))
-                except (ValueError, OSError):
-                    pass
-            handle._resolve("discarded")
-            handle.done.set()
-        return handle
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        handle = self.attached_handle
-        if handle is None:
-            return True
-        while not handle.done.is_set():
-            self.poll()      # pump replies / detect broker death
-            remaining = None if deadline is None \
-                else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                return False
-            if handle.done.wait(min(_POLL_SECONDS,
-                                    remaining or _POLL_SECONDS)):
-                break
-        return True
+def _resolve_remote(handle: RefreshHandle, status: str, replacement,
+                    report, manifest, error) -> None:
+    """A broker reply resolves a handle in this process."""
+    if status == "ready":
+        if manifest is not None and replacement is not None:
+            try:
+                shm.attach_pack_to_ensemble(replacement, manifest)
+            except Exception:
+                # Segment superseded/unlinked before we attached:
+                # re-pack locally rather than failing the refresh.
+                prepare = getattr(replacement, "prepare_fused", None)
+                if prepare is not None:
+                    prepare()
+        handle._finish("ready", replacement=replacement, report=report)
+    elif status == "failed":
+        handle._finish("failed", error=error if error is not None
+                       else RuntimeError("broker build failed"))
+    else:
+        handle._resolve("discarded")
+    handle.done.set()
 
 
 class ProcessCoordinator:
@@ -891,68 +586,126 @@ class ProcessCoordinator:
 
     Duck-types the :class:`RefreshCoordinator` surface the fleet and
     engine touch (``client`` / ``stats`` / ``state_dict`` /
-    ``shutdown`` / ``drain``) while the queue itself lives in the broker
-    process.  ``shutdown`` here is *port-local* — it stops this server's
-    admission and discards its pending requests; the broker (and other
-    servers) keep running until the broker's owner shuts it down.
+    ``shutdown`` / ``drain``) while admission itself runs in the broker
+    process.  Its clients are ordinary
+    :class:`~repro.streaming.coordinator.CoordinatedRefreshClient`
+    instances calling the same ``_submit`` / ``_unsubscribe`` /
+    ``_pump`` as on the thread coordinator.  ``shutdown`` here is
+    *port-local* — it stops this server's admission and discards its
+    pending requests; the broker (and other servers) keep running until
+    the broker's owner shuts it down.
+
+    Degraded mode (broker dead): submits go to one private in-process
+    :class:`RefreshCoordinator` with the broker's cap and policy, so
+    refreshes continue locally and nothing deadlocks.  A local build
+    runs to completion even if the port re-attaches meanwhile.
     """
 
     def __init__(self, port: BrokerPort):
         self.port = port
-        self._closed = False
-        self._clients: List[BrokerClient] = []
+        self._shutdown = False
+        self._fallback: Optional[RefreshCoordinator] = None
 
     def client(self, refresher, on_refire: str = "queue",
-               priority: int = 0) -> BrokerClient:
-        client = BrokerClient(self, refresher, on_refire=on_refire,
-                              priority=priority)
-        self._clients.append(client)
-        return client
+               priority: int = 0) -> CoordinatedRefreshClient:
+        return CoordinatedRefreshClient(self, refresher, on_refire=on_refire,
+                                        priority=priority)
+
+    def _local(self) -> RefreshCoordinator:
+        if self._fallback is None:
+            self._fallback = RefreshCoordinator(
+                self.port.max_concurrent_builds, self.port.policy)
+        return self._fallback
+
+    def _pump(self) -> None:
+        self.port.pump()
+
+    def _submit(self, client: CoordinatedRefreshClient, ensemble, history,
+                trigger_index: int, generation: int,
+                trace=None) -> RefreshHandle:
+        if self._shutdown:
+            raise AdmissionClosed("broker coordinator is shut down; no "
+                                  "further refresh builds are admitted")
+        port = self.port
+        port.pump()
+        if port.degraded:
+            return self._local()._submit(client, ensemble, history,
+                                         trigger_index, generation, trace)
+        handle = RefreshHandle(trigger_index, generation)
+        request_id = port.allocate(handle)
+        payload = ensemble
+        if hasattr(ensemble, "_fused_scorer"):
+            payload = copy.copy(ensemble)
+            payload._fused_scorer = None
+        kwargs = dict(generation=generation, trigger_index=trigger_index,
+                      mode="process")
+        # Object identity cannot cross a process boundary: the dedup key
+        # is the ensemble's explicit broker key, else port-local.
+        key = getattr(ensemble, "_broker_key", None)
+        if key is None:
+            key = f"{port.index}:{id(ensemble)}"
+        try:
+            port.send(("submit", port.index, request_id, key,
+                       client.priority, trigger_index, client.refresher,
+                       payload, history, kwargs))
+        except (ValueError, OSError):
+            port.release(handle)
+            port._degrade()
+            return self._local()._submit(client, ensemble, history,
+                                         trigger_index, generation, trace)
+        if trace is not None:
+            # Queue wait happens in another process; close the admission
+            # span at hand-off so the trace never dangles.
+            trace[1].set_attribute("remote", True)
+            trace[1].end()
+        return handle
+
+    def _unsubscribe(self, handle: RefreshHandle) -> None:
+        request_id = self.port.release(handle)
+        if request_id is None and self._fallback is not None:
+            self._fallback._unsubscribe(handle)     # a local build's
+            return
+        if request_id is not None:
+            try:
+                self.port.send(("cancel", self.port.index, request_id))
+            except (ValueError, OSError):
+                pass
+        handle._resolve("discarded")
+        handle.done.set()
 
     def stats(self) -> CoordinatorStats:
-        reply = self.port.stats()
-        if reply is None:
-            return CoordinatorStats(n_requests=0, n_deduped=0,
-                                    n_admitted=0, n_completed=0,
-                                    n_failed=0, n_cancelled=0,
-                                    n_queued=0, n_running=0,
-                                    max_concurrent=0)
-        counters, n_queued, n_running = reply
-        return CoordinatorStats(n_queued=n_queued, n_running=n_running,
-                                **counters)
+        stats = self.port.stats()
+        if stats is None:
+            return Admission(self.port.max_concurrent_builds,
+                             self.port.policy).stats()
+        return stats
 
     def state_dict(self) -> Dict[str, object]:
         """Same shape as ``RefreshCoordinator.state_dict`` so sharded
         checkpoints resume on either runtime."""
-        stats = self.stats()
-        return {
-            "max_concurrent_builds": self.port.max_concurrent_builds,
-            "policy": self.port.policy,
-            "counters": {
-                "n_requests": stats.n_requests,
-                "n_deduped": stats.n_deduped,
-                "n_admitted": stats.n_admitted,
-                "n_completed": stats.n_completed,
-                "n_failed": stats.n_failed,
-                "n_cancelled": stats.n_cancelled,
-                "n_retried": stats.n_retried,
-                "max_concurrent": stats.max_concurrent,
-            },
-        }
+        stats = dataclasses.asdict(self.stats())
+        state = Admission(self.port.max_concurrent_builds,
+                          self.port.policy).state_dict()
+        state["counters"] = {name: stats[name] for name in state["counters"]}
+        return state
 
     def shutdown(self) -> None:
-        self._closed = True
-        for client in self._clients:
-            if client.attached_handle is not None:
-                client.discard()
-            if client._fallback is not None:
-                client._fallback.accepting = False
+        self._shutdown = True
+        for handle in self.port.pending_handles():
+            self._unsubscribe(handle)
+        if self._fallback is not None:
+            self._fallback.shutdown()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout
-        for client in self._clients:
-            remaining = None if deadline is None \
-                else max(0.0, deadline - time.monotonic())
-            if not client.join(remaining):
+        self.port.pump()
+        while self.port.pending_handles():
+            if deadline is not None and time.monotonic() >= deadline:
                 return False
-        return True
+            time.sleep(_POLL_SECONDS)
+            self.port.pump()
+        if self._fallback is None:
+            return True
+        return self._fallback.drain(
+            None if deadline is None
+            else max(0.0, deadline - time.monotonic()))

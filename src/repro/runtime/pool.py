@@ -32,7 +32,6 @@ fits.
 from __future__ import annotations
 
 import copy
-import inspect
 import multiprocessing as mp
 import os
 import queue
@@ -42,6 +41,7 @@ from typing import Dict, List, Optional
 
 from .. import faults
 from ..core.ensemble import TrainingCancelled
+from ..streaming.coordinator import _accepts_cancel
 from . import shm
 
 _POLL_SECONDS = 0.05
@@ -75,16 +75,6 @@ class _PendingJob:
         self.worker_index: Optional[int] = None
         self.worker_pid: Optional[int] = None
         self.cancel_requested = False
-
-
-def _accepts_cancel(build) -> bool:
-    try:
-        parameters = inspect.signature(build).parameters
-        return "cancel" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in parameters.values())
-    except (TypeError, ValueError):
-        return False
 
 
 def _worker_main(index: int, tasks, results, cancel_event, context,
@@ -202,18 +192,22 @@ class ProcessBuildPool:
         with self._lock:
             return [process.pid for process in self._workers]
 
-    def _respawn_dead_locked(self) -> List[int]:
-        """Replace dead workers; returns the indices of jobs they held."""
-        orphaned: List[int] = []
+    def _respawn_dead_locked(self) -> None:
+        """Replace dead workers and crash every job a dead worker held.
+
+        Any runner thread may get here first, so every orphan is marked,
+        not only the caller's own job: its runner then sees it done.  A
+        job is matched by its worker's pid, which also catches a
+        ``started`` report routed after the slot was already respawned.
+        """
         for index, process in enumerate(self._workers):
-            if process.exitcode is None:
-                continue
-            for job in self._jobs.values():
-                if job.worker_index == index and not job.done.is_set():
-                    orphaned.append(job.job_id)
-            if not self._closed:
+            if process.exitcode is not None and not self._closed:
                 self._spawn(index)
-        return orphaned
+        for job in self._jobs.values():
+            if job.worker_pid is not None and not job.done.is_set() \
+                    and not shm.pid_alive(job.worker_pid):
+                job.outcome = "crashed"
+                job.done.set()
 
     # ------------------------------------------------------------------
     # Result routing
@@ -281,10 +275,7 @@ class ProcessBuildPool:
                         if job.worker_index is not None:
                             self._cancel_events[job.worker_index].set()
                 with self._lock:
-                    orphaned = self._respawn_dead_locked()
-                    if job.job_id in orphaned:
-                        job.outcome = "crashed"
-                        job.done.set()
+                    self._respawn_dead_locked()
         finally:
             with self._lock:
                 self._jobs.pop(job.job_id, None)

@@ -99,7 +99,7 @@ def _owner_pid(segment: str) -> Optional[int]:
         return None
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -139,7 +139,7 @@ def sweep_orphans(namespace: Optional[str] = None) -> List[str]:
     removed = []
     for segment in list_segments(namespace):
         pid = _owner_pid(segment)
-        if pid is None or _pid_alive(pid):
+        if pid is None or pid_alive(pid):
             continue
         try:
             os.unlink(os.path.join(_SHM_DIR, segment))

@@ -9,7 +9,9 @@ shared ensemble and would each build an identical replacement.  Training
 is the expensive part of the whole system (Table 7), so fleet refresh
 cost must be **admitted**, not just deferred.
 
-The coordinator is the fleet's single build authority:
+The coordinator is the fleet's single build authority, and the thread
+transport of the pure :class:`~repro.streaming.admission.Admission`
+core, which makes every decision:
 
 * **Bounded pool** — at most ``max_concurrent_builds`` builds run at
   once; further admissions queue.  Total refresh CPU is capped no matter
@@ -50,7 +52,8 @@ which returns a :class:`CoordinatedRefreshClient` — a drop-in for
 :class:`~repro.streaming.engine.StreamingDetector` code is identical in
 both modes.  Pass ``coordinator=`` to the detector (or to
 :func:`~repro.streaming.multi.shared_fleet`) together with
-``refresh_mode="async"``.
+``refresh_mode="async"``.  The same client also serves the process
+broker's :class:`~repro.runtime.broker.ProcessCoordinator`.
 
 Every admission decision is counted (:meth:`RefreshCoordinator.stats`);
 :func:`repro.metrics.events.fleet_refresh_report` renders the counters
@@ -59,53 +62,53 @@ as a report next to the accuracy metrics.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from .. import faults
 from ..core.ensemble import TrainingCancelled
 from ..obs import default_registry, default_tracer
+# AdmissionClosed is re-exported: the engine and callers import it here.
+from .admission import (Admission, AdmissionClosed, CancelWorker,
+                        CoordinatorStats, Dispatch, Resolve, RetryAt)
 from .worker import REFIRE_POLICIES, RefreshHandle, _BuildConsumer
 
 # repro.runtime.supervisor (BreakerOpen, BREAKER_STATES) is imported
 # lazily inside the methods that need it: repro.runtime.broker imports
 # this module at load time, so a top-level import here would be circular.
 
-ADMISSION_POLICIES = ("fifo", "priority")
+_POLL_SECONDS = 0.05
 
 
 class _CoordinatorTelemetry:
     """Registry mirrors of the admission counters plus live gauges.
 
-    The coordinator's internal ``_n_*`` integers stay authoritative
-    (they are per-instance and survive checkpoints); these process-wide
-    instruments aggregate *runtime* admission activity across every
-    coordinator in the process and always start at zero.
+    The admission core's ledger stays authoritative (it is per-instance
+    and survives checkpoints); these process-wide instruments aggregate
+    *runtime* admission activity across every coordinator in the process
+    and always start at zero.
     """
 
-    __slots__ = ("enabled", "requests", "deduped", "admitted", "completed",
-                 "failed", "cancelled", "retried", "rejected",
-                 "breaker_state", "retry_delay", "queue_depth",
-                 "builds_running")
+    __slots__ = ("ledger", "rejected", "breaker_state", "retry_delay",
+                 "queue_depth", "builds_running")
 
     def __init__(self, registry):
-        self.enabled = registry.enabled
-        self.requests = registry.counter(
-            "repro_coordinator_requests_total")
-        self.deduped = registry.counter("repro_coordinator_deduped_total")
-        self.admitted = registry.counter(
-            "repro_coordinator_admitted_total")
-        self.completed = registry.counter(
-            "repro_coordinator_completed_total")
-        self.failed = registry.counter("repro_coordinator_failed_total")
-        self.cancelled = registry.counter(
-            "repro_coordinator_cancelled_total")
-        self.retried = registry.counter("repro_coordinator_retried_total")
+        # ledger counter -> its registry mirror
+        self.ledger = {
+            name: registry.counter(f"repro_coordinator_{metric}_total")
+            for name, metric in (("n_requests", "requests"),
+                                 ("n_deduped", "deduped"),
+                                 ("n_admitted", "admitted"),
+                                 ("n_completed", "completed"),
+                                 ("n_failed", "failed"),
+                                 ("n_cancelled", "cancelled"),
+                                 ("n_retried", "retried"))}
         self.rejected = registry.counter(
             "repro_coordinator_breaker_rejected_total")
         self.breaker_state = registry.gauge("repro_breaker_state")
@@ -116,85 +119,42 @@ class _CoordinatorTelemetry:
             "repro_coordinator_builds_running")
 
 
-class AdmissionClosed(RuntimeError):
-    """Raised by ``submit`` once the coordinator is shut down.
-
-    The engine catches this and parks the refresh request as pending
-    (shutdown can interleave between its ``accepting`` check and the
-    submit), so a serving thread never fails on a closing fleet; direct
-    callers see the error.
-    """
-
-
-@dataclasses.dataclass(frozen=True)
-class CoordinatorStats:
-    """Cumulative admission counters of one :class:`RefreshCoordinator`.
-
-    ``n_requests`` counts stream-level submissions; ``n_deduped`` of them
-    joined an existing build instead of spawning one, so
-    ``n_requests - n_deduped`` distinct builds were enqueued.  A build
-    ends in exactly one of ``n_completed`` / ``n_failed`` /
-    ``n_cancelled``.  ``max_concurrent`` is the peak number of builds
-    that ever ran at once — bounded by ``max_concurrent_builds`` by
-    construction.  ``n_retried`` counts backoff retries of failed build
-    attempts (a build that fails twice then succeeds contributes two
-    retries and one completion).  Derived views (dedup ratio, builds
-    saved, cap adherence) live on
-    :func:`repro.metrics.events.fleet_refresh_report`.
-    """
-    n_requests: int
-    n_deduped: int
-    n_admitted: int
-    n_completed: int
-    n_failed: int
-    n_cancelled: int
-    n_queued: int
-    n_running: int
-    max_concurrent: int
-    n_retried: int = 0
+class _BuildJob(NamedTuple):
+    """A coordinator build's payload: the leader's request, the build's
+    cancel flag and its ensemble's circuit breaker (if any)."""
+    refresher: object
+    ensemble: object
+    history: np.ndarray
+    trigger_index: int
+    generation: int
+    trace: object
+    cancel: threading.Event
+    breaker: object
 
 
-class _CoordinatedBuild:
-    """One distinct admitted build and its subscriber fan-out list.
+def _accepts_cancel(build) -> bool:
+    """Whether a refresher's ``build`` takes the ``cancel`` flag
+    (duck-typed stand-ins may not)."""
+    try:
+        parameters = inspect.signature(build).parameters
+    except (TypeError, ValueError):        # builtins, exotic callables
+        return False
+    return "cancel" in parameters or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
 
-    Internal to the coordinator; streams only ever see their own
-    per-subscription :class:`~repro.streaming.worker.RefreshHandle`.
-    """
 
-    def __init__(self, ensemble, history: np.ndarray, refresher,
-                 trigger_index: int, generation: int, priority: int,
-                 seq: int, trace=None):
-        self.ensemble = ensemble            # identity is the dedup key
-        self.history = history
-        self.refresher = refresher          # the leader's policy object
-        self.trigger_index = trigger_index
-        self.generation = generation
-        self.priority = priority
-        self.seq = seq
-        self.status = "queued"              # -> building -> ready/failed/
-        #                                        cancelled
-        self.breaker = None                 # the leader ensemble's breaker
-        self.cancel = threading.Event()
-        self.subscribers: List[RefreshHandle] = []
-        # The leader's (root_span, admission_span) trace pair, if any;
-        # the build thread parents its build span to the root.
-        self.trace = trace
-
-    @property
-    def joinable(self) -> bool:
-        """Whether a new submission may still subscribe to this build.
-
-        A build whose cancel flag is already set is doomed even while
-        its status still reads ``building`` (the thread just has not
-        observed the flag yet) — joining it would discard the new
-        request without ever answering its drift.
-        """
-        return self.status in ("queued", "building") \
-            and not self.cancel.is_set()
+def _report_for(report, trigger_index: int):
+    """A fanned-out build report carrying the subscriber's own drift
+    trigger; duck-typed refreshers' non-dataclass reports pass as-is."""
+    try:
+        return dataclasses.replace(report, trigger_index=trigger_index)
+    except TypeError:
+        return report
 
 
 class CoordinatedRefreshClient(_BuildConsumer):
-    """One stream's port into a shared :class:`RefreshCoordinator`.
+    """One stream's port into a shared :class:`RefreshCoordinator` or a
+    broker's :class:`~repro.runtime.broker.ProcessCoordinator`.
 
     Shares the per-stream surface of
     :class:`~repro.streaming.worker.RefreshWorker` (``submit`` / ``poll``
@@ -204,11 +164,12 @@ class CoordinatedRefreshClient(_BuildConsumer):
     drives both the same way.  The difference is behind ``submit``:
     instead of spawning a private thread, the request goes through
     fleet-wide admission — it may queue behind the concurrency cap, or
-    join (dedup) an existing build for the same shared ensemble.
+    join (dedup) an existing build for the same shared ensemble.  The
+    coordinator supplies ``_submit`` / ``_unsubscribe`` / ``_pump``.
     """
 
-    def __init__(self, coordinator: "RefreshCoordinator", refresher,
-                 on_refire: str = "queue", priority: int = 0):
+    def __init__(self, coordinator, refresher, on_refire: str = "queue",
+                 priority: int = 0):
         if on_refire not in REFIRE_POLICIES:
             raise ValueError(f"on_refire must be one of {REFIRE_POLICIES}, "
                              f"got {on_refire!r}")
@@ -251,6 +212,9 @@ class CoordinatedRefreshClient(_BuildConsumer):
         self._handle = handle
         return handle
 
+    def _drain(self) -> None:
+        self.coordinator._pump()
+
     def discard(self) -> Optional[RefreshHandle]:
         """Abandon this stream's subscription; its result never serves.
 
@@ -268,10 +232,18 @@ class CoordinatedRefreshClient(_BuildConsumer):
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for the active build to finish (True if it has or if
         nothing is in flight)."""
-        handle = self._handle
-        if handle is None:
-            return True
-        return handle.done.wait(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            handle = self._handle
+            if handle is None:
+                return True
+            self._drain()            # a broker reply may resolve it
+            wait = _POLL_SECONDS if deadline is None \
+                else min(_POLL_SECONDS, deadline - time.monotonic())
+            if handle.done.wait(max(0.0, wait)):
+                return True
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
 
 
 class RefreshCoordinator:
@@ -297,17 +269,18 @@ class RefreshCoordinator:
                            submissions for that ensemble fast with
                            :class:`~repro.runtime.supervisor.BreakerOpen`
                            (the handle resolves ``failed``, the stream
-                           keeps serving), and the next drift trigger
-                           after the cooldown runs as the half-open
-                           probe.
+                           keeps serving, and no request is counted), and
+                           the next drift trigger after the cooldown runs
+                           as the half-open probe.
 
     Like ``build_runner``, ``retry`` and ``breaker_factory`` are runtime
     wiring, not state: checkpoints persist the ``n_retried`` counter but
     neither policy object (re-attach them after ``from_state``).
 
     ``on_build_start`` / ``on_build_done`` are optional callbacks invoked
-    *on the build thread* with the internal build record — event hooks
-    for deterministic concurrency tests and production telemetry, the
+    *on the build thread* with the internal
+    :class:`~repro.streaming.admission.Build` record — event hooks for
+    deterministic concurrency tests and production telemetry, the
     fleet-level analogue of ``RefreshWorker``'s hooks.  A raising start
     hook fails the build (never wedges it).
 
@@ -328,14 +301,7 @@ class RefreshCoordinator:
     def __init__(self, max_concurrent_builds: int = 1,
                  policy: str = "fifo", build_runner=None,
                  retry=None, breaker_factory=None):
-        if max_concurrent_builds < 1:
-            raise ValueError(f"max_concurrent_builds must be >= 1, "
-                             f"got {max_concurrent_builds}")
-        if policy not in ADMISSION_POLICIES:
-            raise ValueError(f"policy must be one of {ADMISSION_POLICIES}, "
-                             f"got {policy!r}")
-        self.max_concurrent_builds = int(max_concurrent_builds)
-        self.policy = policy
+        self._admission = Admission(max_concurrent_builds, policy, retry)
         # Pluggable build execution: None trains on this build thread;
         # a runner ``(refresher, ensemble, history, index, kwargs,
         # cancel) -> (replacement, report)`` may ship the job elsewhere
@@ -345,7 +311,6 @@ class RefreshCoordinator:
         # are runtime wiring, not state: checkpoints neither persist nor
         # restore them (re-attach one after from_state).
         self.build_runner = build_runner
-        self.retry = retry
         self.breaker_factory = breaker_factory
         # Per-ensemble breakers, keyed by ensemble identity — the same
         # notion the dedup uses.  Entries live as long as the
@@ -354,21 +319,29 @@ class RefreshCoordinator:
         self.on_build_start: Optional[Callable] = None
         self.on_build_done: Optional[Callable] = None
         self._lock = threading.Lock()
-        self._queue: List[_CoordinatedBuild] = []
-        self._running: List[_CoordinatedBuild] = []
         self._threads: List[threading.Thread] = []
-        self._seq = 0
-        self._shutdown = False
         self._obs = _CoordinatorTelemetry(default_registry())
-        # Cumulative counters (survive checkpoints; see state_dict).
-        self._n_requests = 0
-        self._n_deduped = 0
-        self._n_admitted = 0
-        self._n_completed = 0
-        self._n_failed = 0
-        self._n_cancelled = 0
-        self._n_retried = 0
-        self._max_concurrent = 0
+        self._mirrored = dict(self._admission.counters)
+
+    @property
+    def max_concurrent_builds(self) -> int:
+        return self._admission.max_concurrent
+
+    @property
+    def policy(self) -> str:
+        return self._admission.policy
+
+    @property
+    def retry(self):
+        return self._admission.retry
+
+    @retry.setter
+    def retry(self, policy) -> None:
+        self._admission.retry = policy
+
+    @property
+    def _shutdown(self) -> bool:
+        return self._admission.closed
 
     # ------------------------------------------------------------------
     # Stream-facing API
@@ -382,30 +355,10 @@ class RefreshCoordinator:
                                         on_refire=on_refire,
                                         priority=priority)
 
-    @property
-    def n_queued(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    @property
-    def n_running(self) -> int:
-        with self._lock:
-            return len(self._running)
-
     def stats(self) -> CoordinatorStats:
         """A consistent snapshot of the admission counters."""
         with self._lock:
-            return CoordinatorStats(
-                n_requests=self._n_requests,
-                n_deduped=self._n_deduped,
-                n_admitted=self._n_admitted,
-                n_completed=self._n_completed,
-                n_failed=self._n_failed,
-                n_cancelled=self._n_cancelled,
-                n_queued=len(self._queue),
-                n_running=len(self._running),
-                max_concurrent=self._max_concurrent,
-                n_retried=self._n_retried)
+            return self._admission.stats()
 
     def shutdown(self) -> None:
         """Cancel every queued and running build and refuse new submits.
@@ -421,25 +374,8 @@ class RefreshCoordinator:
         afterwards to wait for the build threads to exit.
         """
         with self._lock:
-            self._shutdown = True
-            abandoned = self._queue + self._running
-            self._queue = []
-            self._obs.queue_depth.set(0)
-            finished: List[RefreshHandle] = []
-            for build in abandoned:
-                build.cancel.set()
-                if build.status == "queued":
-                    build.status = "cancelled"
-                    self._n_cancelled += 1
-                    self._obs.cancelled.inc()
-                for handle in build.subscribers:
-                    handle._resolve("discarded")
-                    if build.status == "cancelled":
-                        finished.append(handle)
-        # Queued builds never get a thread, so their handles must be
-        # released here; running builds' threads set done themselves.
-        for handle in finished:
-            handle.done.set()
+            release = self._perform_locked(self._admission.shutdown())
+        _release(release)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Wait for all build threads to exit (True if they all have).
@@ -473,106 +409,86 @@ class RefreshCoordinator:
         next allow.
         """
         with self._lock:
-            return {
-                "max_concurrent_builds": self.max_concurrent_builds,
-                "policy": self.policy,
-                "counters": {
-                    "n_requests": self._n_requests,
-                    "n_deduped": self._n_deduped,
-                    "n_admitted": self._n_admitted,
-                    "n_completed": self._n_completed,
-                    "n_failed": self._n_failed,
-                    "n_cancelled": self._n_cancelled,
-                    "n_retried": self._n_retried,
-                    "max_concurrent": self._max_concurrent,
-                },
-            }
+            return self._admission.state_dict()
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "RefreshCoordinator":
         """Rebuild a coordinator (config + counters) from
         :meth:`state_dict`; the queue starts empty by design."""
-        coordinator = cls(
-            max_concurrent_builds=int(state["max_concurrent_builds"]),
-            policy=str(state.get("policy", "fifo")))
-        counters = state.get("counters", {})
-        coordinator._n_requests = int(counters.get("n_requests", 0))
-        coordinator._n_deduped = int(counters.get("n_deduped", 0))
-        coordinator._n_admitted = int(counters.get("n_admitted", 0))
-        coordinator._n_completed = int(counters.get("n_completed", 0))
-        coordinator._n_failed = int(counters.get("n_failed", 0))
-        coordinator._n_cancelled = int(counters.get("n_cancelled", 0))
-        coordinator._n_retried = int(counters.get("n_retried", 0))
-        coordinator._max_concurrent = int(counters.get("max_concurrent", 0))
+        admission = Admission.from_state(state)
+        coordinator = cls(admission.max_concurrent, admission.policy)
+        coordinator._admission = admission
+        coordinator._mirrored = dict(admission.counters)
         return coordinator
 
     # ------------------------------------------------------------------
-    # Admission internals
+    # The thread transport
     # ------------------------------------------------------------------
+    def _pump(self) -> None:
+        """Client hook: thread builds resolve their handles themselves."""
+
     def _submit(self, client: CoordinatedRefreshClient, ensemble,
                 history: np.ndarray, trigger_index: int,
                 generation: int, trace=None) -> RefreshHandle:
         handle = RefreshHandle(trigger_index, generation)
+        # Identity dedup, the save_fleet notion of sharing: only streams
+        # scoring against the very same ensemble object would train the
+        # same replacement.  A live build holds its ensemble, so the id
+        # cannot be reused while the build can still be joined.
+        key = id(ensemble)
         with self._lock:
-            if self._shutdown:
-                raise AdmissionClosed(
-                    "coordinator is shut down; no further refresh builds "
-                    "are admitted")
-            self._n_requests += 1
-            self._obs.requests.inc()
-            for build in self._queue + self._running:
-                # Identity dedup, the save_fleet notion of sharing: only
-                # streams scoring against the very same ensemble object
-                # would train the same replacement.
-                if build.joinable and build.ensemble is ensemble:
-                    build.subscribers.append(handle)
-                    self._n_deduped += 1
-                    self._obs.deduped.inc()
-                    if trace is not None:
-                        # The joiner's admission resolves here: its drift
-                        # is answered by the leader's build.
-                        trace[1].set_attribute("deduped", True)
-                        trace[1].end()
+            breaker = None
+            if not self._admission.closed \
+                    and self._admission.joinable(key) is None:
+                breaker = self._breaker_for_locked(key)
+                if breaker is not None and not breaker.allow():
+                    self._reject_locked(breaker, handle, trace)
                     return handle
-            breaker = self._breaker_for_locked(ensemble)
-            if breaker is not None and not breaker.allow():
-                # Fail fast: this ensemble's refresher has failed
-                # repeatedly and its cooldown has not elapsed.  The
-                # handle resolves failed (the stream observes a failed
-                # refresh at its next boundary and keeps serving); no
-                # training CPU is spent.  allow() itself admits the
-                # half-open probe once the cooldown passes.
-                from ..runtime.supervisor import BreakerOpen
-                self._obs.rejected.inc()
-                self._set_breaker_gauge(breaker)
-                handle._finish("failed", error=BreakerOpen(
-                    "refresh build rejected: this ensemble's circuit "
-                    "breaker is open after repeated build failures; the "
-                    "next trigger after the cooldown runs as a probe"))
-                handle.done.set()
-                if trace is not None:
-                    trace[1].set_attribute("breaker_rejected", True)
-                    trace[1].end()
-                return handle
-            build = _CoordinatedBuild(ensemble, history, client.refresher,
-                                      trigger_index, generation,
-                                      priority=client.priority,
-                                      seq=self._seq, trace=trace)
-            build.breaker = breaker
-            self._seq += 1
-            build.subscribers.append(handle)
-            self._queue.append(build)
-            self._obs.queue_depth.set(len(self._queue))
-            self._pump_locked()
+            job = _BuildJob(client.refresher, ensemble, history,
+                            trigger_index, generation, trace,
+                            threading.Event(), breaker)
+            build, actions = self._admission.submit(key, handle,
+                                                    client.priority, job)
+            if build.payload is not job and trace is not None:
+                # The joiner's admission resolves here: its drift is
+                # answered by the leader's build.
+                trace[1].set_attribute("deduped", True)
+                trace[1].end()
+            release = self._perform_locked(actions)
+        _release(release)
         return handle
 
-    def _breaker_for_locked(self, ensemble):
+    def _unsubscribe(self, handle: RefreshHandle) -> None:
+        """Drop one subscription; cancel the build if it was the last."""
+        with self._lock:
+            handle._resolve("discarded")
+            release = self._perform_locked(
+                self._admission.unsubscribe(handle)) + [handle]
+        _release(release)
+
+    def _reject_locked(self, breaker, handle: RefreshHandle, trace) -> None:
+        """Fail fast: this ensemble's refresher has failed repeatedly and
+        its cooldown has not elapsed.  The handle resolves failed (the
+        stream observes a failed refresh at its next boundary and keeps
+        serving); no training CPU is spent.  ``allow()`` itself admits
+        the half-open probe once the cooldown passes."""
+        from ..runtime.supervisor import BreakerOpen
+        self._obs.rejected.inc()
+        self._set_breaker_gauge(breaker)
+        handle._finish("failed", error=BreakerOpen(
+            "refresh build rejected: this ensemble's circuit breaker is "
+            "open after repeated build failures; the next trigger after "
+            "the cooldown runs as a probe"))
+        handle.done.set()
+        if trace is not None:
+            trace[1].set_attribute("breaker_rejected", True)
+            trace[1].end()
+
+    def _breaker_for_locked(self, key: int):
         """This ensemble's circuit breaker (created on first submission),
-        or None when breaking is not configured.  Caller holds the lock;
-        keyed by ensemble identity, the dedup notion of sameness."""
+        or None when breaking is not configured.  Caller holds the lock."""
         if self.breaker_factory is None:
             return None
-        key = id(ensemble)
         breaker = self._breakers.get(key)
         if breaker is None:
             breaker = self.breaker_factory()
@@ -586,208 +502,143 @@ class RefreshCoordinator:
         from ..runtime.supervisor import BREAKER_STATES
         self._obs.breaker_state.set(BREAKER_STATES.get(breaker.state, -1))
 
-    def _pump_locked(self) -> None:
-        """Admit queued builds while the pool has room.  Caller holds
-        the lock."""
-        while self._queue and \
-                len(self._running) < self.max_concurrent_builds:
-            if self.policy == "priority":
-                best = min(self._queue,
-                           key=lambda b: (-b.priority, b.seq))
-                self._queue.remove(best)
-            else:
-                best = self._queue.pop(0)
-            best.status = "building"
-            self._running.append(best)
-            self._n_admitted += 1
-            self._obs.admitted.inc()
-            self._obs.queue_depth.set(len(self._queue))
-            self._obs.builds_running.set(len(self._running))
-            self._max_concurrent = max(self._max_concurrent,
-                                       len(self._running))
-            thread = threading.Thread(
-                target=self._run, args=(best,),
-                name=f"refresh-coord-{best.seq}", daemon=True)
-            self._threads.append(thread)
-            thread.start()
+    def _perform_locked(self, actions: list) -> List[RefreshHandle]:
+        """Carry out the core's actions.  Caller holds the lock; returns
+        the handles to release once it is dropped (and any hook ran)."""
+        release: List[RefreshHandle] = []
+        for action in actions:
+            build = action.build
+            if isinstance(action, Dispatch):
+                # A retry's Dispatch resumes the build's own thread,
+                # which is waiting out the backoff.
+                if build.attempts == 0:
+                    self._threads = [thread for thread in self._threads
+                                     if thread.is_alive()]
+                    thread = threading.Thread(
+                        target=self._run, args=(build,),
+                        name=f"refresh-coord-{build.id}", daemon=True)
+                    self._threads.append(thread)
+                    thread.start()
+            elif isinstance(action, CancelWorker):
+                build.payload.cancel.set()
+            elif isinstance(action, Resolve):
+                for handle in action.subscribers:
+                    if action.status == "ready":
+                        replacement, report = action.result
+                        handle._finish(
+                            "ready", replacement=replacement,
+                            report=_report_for(report,
+                                               handle.trigger_index))
+                    elif action.status == "failed":
+                        handle._finish("failed", error=action.result)
+                    else:
+                        handle._resolve("discarded")
+                release.extend(action.subscribers)
+        # Mirror the ledger's movement into the process-wide registry.
+        counters = self._admission.counters
+        for name, counter in self._obs.ledger.items():
+            if counters[name] != self._mirrored[name]:
+                counter.inc(counters[name] - self._mirrored[name])
+        self._mirrored = dict(counters)
+        self._obs.queue_depth.set(self._admission.n_queued)
+        self._obs.builds_running.set(self._admission.n_running)
+        return release
 
-    def _run(self, build: _CoordinatedBuild) -> None:
-        error: Optional[BaseException] = None
-        cancelled = False
-        replacement = report = None
-        root, admission = build.trace if build.trace is not None \
+    def _run(self, build) -> None:
+        """A build thread: run attempts until the core stops retrying."""
+        job: _BuildJob = build.payload
+        root, admission = job.trace if job.trace is not None \
             else (None, None)
         if admission is not None:
             admission.end()      # build starts: queue wait is over
         tracer = default_tracer()
-        build_span = tracer.start_span("refresh.build", parent=root,
-                                       mode="async",
-                                       n_subscribers=len(
-                                           build.subscribers)) \
+        span = tracer.start_span("refresh.build", parent=root, mode="async",
+                                 n_subscribers=len(build.subscribers)) \
             if root is not None else None
-        try:
-            if build.cancel.is_set():
-                raise TrainingCancelled(0)
-            if self.on_build_start is not None:
-                # Inside the guard: a raising telemetry hook fails the
-                # build instead of wedging every subscriber in 'building'.
-                self.on_build_start(build)
-            attempt = 0
-            while True:
-                try:
-                    if build_span is not None:
-                        with tracer.use(build_span):
-                            replacement, report = self._call_build(build)
-                    else:
-                        replacement, report = self._call_build(build)
-                    break
-                except TrainingCancelled:
-                    raise
-                except Exception:
-                    retry = self.retry
-                    if (retry is None or attempt >= retry.max_retries
-                            or build.cancel.is_set() or self._shutdown):
-                        raise
-                    delay = retry.delay_for(attempt)
-                    attempt += 1
-                    with self._lock:
-                        self._n_retried += 1
-                    self._obs.retried.inc()
-                    self._obs.retry_delay.observe(delay)
-                    if build_span is not None:
-                        build_span.set_attribute("retries", attempt)
-                    # Interruptible backoff: a cancellation arriving
-                    # during the wait aborts the retry immediately
-                    # instead of sleeping it out.
-                    if build.cancel.wait(delay):
-                        raise TrainingCancelled(0)
-            # Pack the fused inference weights on this build thread so
-            # none of the subscribers' serving threads pays the packing
-            # cost at its boundary swap (no-op for the canonical
-            # refresher, which prepares inside build()).
-            prepare = getattr(replacement, "prepare_fused", None)
-            if prepare is not None:
-                prepare()
-        except TrainingCancelled:
-            cancelled = True
-        except Exception as exc:
-            error = exc
-        finished: List[RefreshHandle] = []
-        with self._lock:
-            if build in self._running:
-                self._running.remove(build)
-            # Long-running fleets admit builds indefinitely: drop thread
-            # records as they die (the current thread stays until a
-            # later build prunes it — one stale record, not a leak).
-            self._threads = [thread for thread in self._threads
-                             if thread.is_alive()]
-            if cancelled or build.cancel.is_set():
-                # Either fit observed the flag, or the last subscriber
-                # left after the final basic model: the result is
-                # unwanted either way.
-                build.status = "cancelled"
-                self._n_cancelled += 1
-                self._obs.cancelled.inc()
-            elif error is not None:
-                build.status = "failed"
-                self._n_failed += 1
-                self._obs.failed.inc()
+        while True:
+            try:
+                if job.cancel.is_set():
+                    raise TrainingCancelled(0)
+                if build.attempts == 0 and self.on_build_start is not None:
+                    # Inside the guard: a raising telemetry hook fails
+                    # the build instead of wedging every subscriber.
+                    self.on_build_start(build)
+                with tracer.use(span) if span is not None \
+                        else contextlib.nullcontext():
+                    replacement, report = self._call_build(job)
+                # Pack the fused inference weights on this build thread
+                # so no subscriber's serving thread pays the packing cost
+                # at its boundary swap (no-op for the canonical
+                # refresher, which prepares inside build()).
+                prepare = getattr(replacement, "prepare_fused", None)
+                if prepare is not None:
+                    prepare()
+                outcome, value = "done", (replacement, report)
+            except TrainingCancelled:
+                outcome, value = "cancelled", None
+            except Exception as exc:
+                outcome, value = "failed", exc
+            now = time.monotonic()
+            with self._lock:
+                if outcome == "done":
+                    actions = self._admission.done(build.id, value)
+                elif outcome == "failed":
+                    actions = self._admission.failed(build.id, value, now)
+                else:
+                    actions = self._admission.cancelled(build.id)
+                release = self._perform_locked(actions)
+            retry_at = next((action.at for action in actions
+                             if isinstance(action, RetryAt)), None)
+            if retry_at is None:
+                break
+            self._obs.retry_delay.observe(retry_at - now)
+            if span is not None:
+                span.set_attribute("retries", build.attempts)
+            # Interruptible backoff: a cancel during the wait ends the
+            # build (the core already resolved it) instead of sleeping.
+            while not job.cancel.is_set() \
+                    and time.monotonic() < retry_at:
+                job.cancel.wait(retry_at - time.monotonic())
+            with self._lock:
+                self._perform_locked(self._admission.tick(time.monotonic()))
+        if job.breaker is not None and build.status in ("ready", "failed"):
+            # Only terminal build outcomes move the breaker; cancellations
+            # say nothing about the refresher's health.  A half-open probe
+            # resolves here: success closes the breaker, failure re-opens
+            # it with a fresh cooldown.
+            if build.status == "ready":
+                job.breaker.record_success()
             else:
-                build.status = "ready"
-                self._n_completed += 1
-                self._obs.completed.inc()
-            if build.breaker is not None \
-                    and build.status in ("ready", "failed"):
-                # Only terminal build outcomes move the breaker;
-                # cancellations say nothing about the refresher's
-                # health.  A half-open probe resolves here: success
-                # closes the breaker, failure re-opens it with a fresh
-                # cooldown.  (The breaker lock is a leaf — safe under
-                # ours.)
-                if build.status == "ready":
-                    build.breaker.record_success()
-                else:
-                    build.breaker.record_failure()
-                self._set_breaker_gauge(build.breaker)
-            self._obs.builds_running.set(len(self._running))
-            if build_span is not None:
-                build_span.set_attribute("status", build.status)
-                build_span.end()
-            # Fan-out under the lock: a concurrent submit either joined
-            # before this point (and is in the list) or sees the build
-            # as no longer joinable and starts a fresh one.
-            for handle in build.subscribers:
-                if build.status == "ready":
-                    try:
-                        # Each subscriber's report carries its own drift
-                        # trigger; duck-typed refreshers may return a
-                        # non-dataclass report, which fans out as-is.
-                        fan_report = dataclasses.replace(
-                            report, trigger_index=handle.trigger_index)
-                    except TypeError:
-                        fan_report = report
-                    handle._finish("ready", replacement=replacement,
-                                   report=fan_report)
-                elif build.status == "failed":
-                    handle._finish("failed", error=error)
-                else:
-                    handle._resolve("discarded")
-                finished.append(handle)
-            self._pump_locked()
+                job.breaker.record_failure()
+            self._set_breaker_gauge(job.breaker)
+        if span is not None:
+            span.set_attribute("status", build.status)
+            span.end()
         try:
             if self.on_build_done is not None:
                 self.on_build_done(build)
         finally:
-            for handle in finished:
-                handle.done.set()      # even if the done-hook raises
+            _release(release)      # even if the done-hook raises
 
-    def _call_build(self, build: _CoordinatedBuild):
-        """Invoke the leader's ``build``, forwarding the cancel flag when
-        the refresher supports it (duck-typed stand-ins may not)."""
+    def _call_build(self, job: _BuildJob):
+        """Invoke the leader's ``build`` (or the build runner),
+        forwarding the cancel flag when the refresher supports it."""
         if faults.enabled:
             faults.point("coordinator.build")
         if self.build_runner is not None:
-            kwargs = dict(generation=build.generation,
-                          trigger_index=build.trigger_index,
-                          mode="process")
-            return self.build_runner(build.refresher, build.ensemble,
-                                     build.history, build.trigger_index,
-                                     kwargs, build.cancel)
-        kwargs = dict(generation=build.generation,
-                      trigger_index=build.trigger_index, mode="async")
-        try:
-            parameters = inspect.signature(
-                build.refresher.build).parameters
-            accepts_cancel = "cancel" in parameters or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in parameters.values())
-        except (TypeError, ValueError):    # builtins, exotic callables
-            accepts_cancel = False
-        if accepts_cancel:
-            kwargs["cancel"] = build.cancel
-        return build.refresher.build(build.ensemble, build.history,
-                                     build.trigger_index, **kwargs)
+            kwargs = dict(generation=job.generation,
+                          trigger_index=job.trigger_index, mode="process")
+            return self.build_runner(job.refresher, job.ensemble,
+                                     job.history, job.trigger_index,
+                                     kwargs, job.cancel)
+        kwargs = dict(generation=job.generation,
+                      trigger_index=job.trigger_index, mode="async")
+        if _accepts_cancel(job.refresher.build):
+            kwargs["cancel"] = job.cancel
+        return job.refresher.build(job.ensemble, job.history,
+                                   job.trigger_index, **kwargs)
 
-    def _unsubscribe(self, handle: RefreshHandle) -> None:
-        """Drop one subscription; cancel the build if it was the last."""
-        release: List[RefreshHandle] = []
-        with self._lock:
-            handle._resolve("discarded")
-            for build in self._queue + self._running:
-                if handle in build.subscribers:
-                    live = [h for h in build.subscribers
-                            if h.status == "building"]
-                    if not live:
-                        build.cancel.set()
-                        if build.status == "queued":
-                            build.status = "cancelled"
-                            self._queue.remove(build)
-                            self._n_cancelled += 1
-                            self._obs.cancelled.inc()
-                            self._obs.queue_depth.set(len(self._queue))
-                            release = list(build.subscribers)
-                    break
-        # A dequeued build never gets a thread, so its handles must be
-        # released here; a running build's thread sets done itself.
-        for waiter in release:
-            waiter.done.set()
+
+def _release(handles: List[RefreshHandle]) -> None:
+    for handle in handles:
+        handle.done.set()

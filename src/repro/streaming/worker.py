@@ -148,10 +148,10 @@ class _BuildConsumer:
         """Transport hook run before the handle is inspected.
 
         Thread-backed consumers resolve handles from their own build
-        thread, so the default is a no-op.  Process-backed consumers
-        (:class:`~repro.runtime.broker.BrokerClient`) override it to
-        pull replies off their reply queue — the only place a remote
-        build's terminal state can land in this process.
+        thread, so the default is a no-op.  Coordinator clients
+        override it to pump their coordinator — for the process broker
+        that pulls replies off the port's reply queue, the only place a
+        remote build's terminal state can land in this process.
         """
 
     def poll(self) -> Optional[RefreshHandle]:

@@ -668,7 +668,8 @@ class TestBrokerFailover:
         with use_plan(plan):
             broker = BuildBroker(n_ports=1, n_workers=1,
                                  worker_context=mp_handshake,
-                                 max_build_retries=1, retry_delay=0.001)
+                                 retry=RetryPolicy(max_retries=1,
+                                                   base_delay=0.001))
             try:
                 mp_handshake["gate"].set()
                 coordinator = broker.coordinator(0)
@@ -1011,7 +1012,7 @@ class TestChaosBattery:
                 # re-submitted build survives a failed first attempt.
                 broker = BuildBroker(
                     n_ports=1, n_workers=1, worker_context=mp_handshake,
-                    max_build_retries=1, retry_delay=0.001,
+                    retry=RetryPolicy(max_retries=1, base_delay=0.001),
                     restart=RestartPolicy(max_restarts=2, window=300.0),
                     watchdog_interval=0.01, namespace=shm_namespace)
                 try:

@@ -20,6 +20,7 @@ DOCTESTED_MODULES = [
     "repro.metrics.events",
     "repro.obs",
     "repro.serving.protocol",
+    "repro.streaming.admission",
     "repro.obs.exporters",
     "repro.obs.registry",
     "repro.obs.tracing",

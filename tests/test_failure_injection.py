@@ -173,6 +173,52 @@ class TestProcessFaults:
         from repro.runtime import list_segments
         assert list_segments(shm_namespace) == []
 
+    def test_orphan_fails_when_another_thread_respawns_its_worker(
+            self, shm_namespace, mp_handshake):
+        """With two workers, whichever runner thread first sees a dead
+        worker respawns it.  The orphaned job must still fail with
+        WorkerCrashed instead of polling forever: here the kill and the
+        respawn both happen on the test thread while it holds the pool
+        lock, so the orphan's own runner never sees the dead worker."""
+        import os
+        import threading
+        from repro.runtime import (ProcessBuildPool, WorkerCrashed,
+                                   list_segments)
+        from tests.conftest import fabricate_ensemble, sine_regime
+        from tests.test_runtime_processes import (GATE_TIMEOUT,
+                                                  ProcessGatedRefresher,
+                                                  wait_started)
+
+        pool = ProcessBuildPool(n_workers=2, worker_context=mp_handshake)
+        outcome = {}
+
+        def run():
+            try:
+                pool.build_runner(ProcessGatedRefresher(),
+                                  fabricate_ensemble(),
+                                  sine_regime(32, seed=1), 10,
+                                  {"trigger_index": 10})
+            except Exception as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run, daemon=True)
+        try:
+            runner.start()
+            victim_pid, _ = wait_started(mp_handshake)
+            with pool._lock:
+                victim = next(process for process in pool._workers
+                              if process.pid == victim_pid)
+                os.kill(victim_pid, 9)
+                victim.join(GATE_TIMEOUT)
+                pool._respawn_dead_locked()
+            runner.join(GATE_TIMEOUT)
+            assert not runner.is_alive(), "orphaned build never resolved"
+            assert isinstance(outcome.get("error"), WorkerCrashed)
+        finally:
+            pool.shutdown()
+            runner.join(GATE_TIMEOUT)
+        assert list_segments(shm_namespace) == []
+
     def test_orphaned_segments_unlinked_on_next_attach(self,
                                                        shm_namespace):
         """A segment whose owner pid is dead is swept by the next
