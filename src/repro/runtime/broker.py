@@ -50,8 +50,8 @@ from ..obs import default_registry
 from ..streaming.admission import (Admission, AdmissionClosed, CancelWorker,
                                    CoordinatorStats, Dispatch, Resolve)
 from ..streaming.coordinator import (CoordinatedRefreshClient,
-                                     RefreshCoordinator, _report_for)
-from ..streaming.worker import RefreshHandle
+                                     RefreshCoordinator, RefreshHandle,
+                                     _report_for)
 from . import shm
 from .pool import WorkerCrashed, _worker_main
 from .supervisor import RestartPolicy, RetryPolicy
@@ -674,11 +674,15 @@ class ProcessCoordinator:
         handle.done.set()
 
     def stats(self) -> CoordinatorStats:
+        """The broker's ledger; while it is unreachable, the degraded-mode
+        fallback's (which runs every local build), else an empty one."""
         stats = self.port.stats()
-        if stats is None:
-            return Admission(self.port.max_concurrent_builds,
-                             self.port.policy).stats()
-        return stats
+        if stats is not None:
+            return stats
+        if self._fallback is not None:
+            return self._fallback.stats()
+        return Admission(self.port.max_concurrent_builds,
+                         self.port.policy).stats()
 
     def state_dict(self) -> Dict[str, object]:
         """Same shape as ``RefreshCoordinator.state_dict`` so sharded

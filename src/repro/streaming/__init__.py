@@ -15,12 +15,15 @@ Layers, bottom-up:
                  corpus, warm-started via the paper's β parameter
                  transfer; split into thread-safe ``build`` and
                  swap-time ``commit``;
-``worker``       :class:`RefreshWorker` — background refresh builds, so
-                 scoring latency stays flat while a replacement trains;
-``coordinator``  :class:`RefreshCoordinator` — fleet-wide admission
-                 control for refresh builds: bounded concurrency,
-                 FIFO/priority queueing, build dedup across streams
-                 sharing one ensemble, cooperative cancellation;
+``admission``    :class:`~repro.streaming.admission.Admission` — the pure
+                 admission state machine behind the coordinator and the
+                 process broker;
+``coordinator``  :class:`RefreshCoordinator` — the one background build
+                 executor, so scoring latency stays flat while a
+                 replacement trains; shared by a fleet (bounded
+                 concurrency, FIFO/priority queueing, build dedup across
+                 streams sharing one ensemble) or private to one stream,
+                 with cooperative cancellation either way;
 ``engine``       :class:`StreamingDetector` — scalar ``update`` and
                  micro-batched ``update_batch`` scoring, wired to the
                  layers above;
@@ -98,14 +101,14 @@ from .buffer import (DecayedReservoirBuffer, HistoryBuffer, ReservoirBuffer,
 from .calibration import (BurnInMAD, DecayedQuantile, calibrator_from_state,
                           robust_mad_threshold)
 from .coordinator import (AdmissionClosed, CoordinatedRefreshClient,
-                          CoordinatorStats, RefreshCoordinator)
+                          CoordinatorStats, RefreshCoordinator,
+                          RefreshHandle)
 from .drift import (DDMDrift, DriftEvent, PageHinkley,
                     drift_detector_from_state)
 from .engine import PreparedBatch, StreamingDetector, StreamUpdate
 from .multi import (StreamFleet, StreamStats, shared_fleet,
                     sharded_fleet)
 from .refresh import EnsembleRefresher, RefreshReport
-from .worker import RefreshHandle, RefreshWorker
 
 __all__ = [
     "AdmissionClosed", "BurnInMAD", "CoordinatedRefreshClient",
@@ -113,7 +116,7 @@ __all__ = [
     "DecayedQuantile", "DecayedReservoirBuffer", "DriftEvent",
     "EnsembleRefresher", "HistoryBuffer", "PageHinkley", "PreparedBatch",
     "RefreshCoordinator",
-    "RefreshHandle", "RefreshReport", "RefreshWorker", "ReservoirBuffer",
+    "RefreshHandle", "RefreshReport", "ReservoirBuffer",
     "SlidingWindow", "StreamFleet", "StreamStats", "StreamUpdate",
     "StreamingDetector", "calibrator_from_state",
     "drift_detector_from_state", "history_buffer_from_state",

@@ -1,17 +1,21 @@
-"""Fleet-wide refresh admission control: the :class:`RefreshCoordinator`.
+"""Refresh admission control: the :class:`RefreshCoordinator`.
 
-The per-stream :class:`~repro.streaming.worker.RefreshWorker` solves the
-serving-vs-adaptation tension for *one* stream, but a fleet multiplies
-it: when N streams drift together — the common case, since co-located
-streams see the same regime change — N independent workers spawn N
-training threads, even when several streams score against the *same*
-shared ensemble and would each build an identical replacement.  Training
-is the expensive part of the whole system (Table 7), so fleet refresh
-cost must be **admitted**, not just deferred.
+The coordinator is the one executor of background refresh builds: the
+engine's ``refresh_mode="async"`` hands every build to one, so training
+runs off the serving path while the old ensemble keeps serving.  Used
+*shared*, one coordinator admits a whole fleet's builds: when N streams
+drift together — the common case, since co-located streams see the same
+regime change — their builds queue behind one concurrency cap and
+streams scoring against the *same* shared ensemble join one build
+instead of each training an identical replacement.  Training is the
+expensive part of the whole system (Table 7), so fleet refresh cost must
+be **admitted**, not just deferred.  Used *private* (a detector without
+a fleet coordinator gets ``RefreshCoordinator().client(...)``), the same
+machinery runs one stream's builds one at a time.
 
-The coordinator is the fleet's single build authority, and the thread
-transport of the pure :class:`~repro.streaming.admission.Admission`
-core, which makes every decision:
+The coordinator is the thread transport of the pure
+:class:`~repro.streaming.admission.Admission` core, which makes every
+decision:
 
 * **Bounded pool** — at most ``max_concurrent_builds`` builds run at
   once; further admissions queue.  Total refresh CPU is capped no matter
@@ -25,8 +29,8 @@ core, which makes every decision:
   weights by) to a queued or in-flight build's joins that build as a
   subscriber instead of spawning its own.  K co-drifting streams sharing
   one ensemble cost one build; the finished replacement is fanned out to
-  every subscriber's :class:`~repro.streaming.worker.RefreshHandle` and
-  each stream swaps it in at its own next batch boundary.
+  every subscriber's :class:`RefreshHandle` and each stream swaps it in
+  at its own next batch boundary.
 * **Cooperative cancellation** — every build carries a cancel flag that
   :meth:`~repro.core.ensemble.CAEEnsemble.fit` polls between basic-model
   fits.  A build that loses its last subscriber (refresher swapped,
@@ -45,15 +49,24 @@ core, which makes every decision:
   burned on a refresher that fails deterministically — until a cooldown
   elapses and the next drift trigger is admitted as a half-open probe.
 
-Streams talk to the coordinator through :meth:`RefreshCoordinator.client`
-which returns a :class:`CoordinatedRefreshClient` — a drop-in for
-``RefreshWorker`` from the engine's point of view (same ``submit`` /
-``poll`` / ``take`` / ``discard`` / ``handle`` surface), so
-:class:`~repro.streaming.engine.StreamingDetector` code is identical in
-both modes.  Pass ``coordinator=`` to the detector (or to
+Streams talk to the coordinator through :meth:`RefreshCoordinator.client`,
+which returns a :class:`CoordinatedRefreshClient` — the engine's one
+per-stream build port (``submit`` / ``poll`` / ``take`` / ``discard`` /
+``handle``).  Pass ``coordinator=`` to the detector (or to
 :func:`~repro.streaming.multi.shared_fleet`) together with
-``refresh_mode="async"``.  The same client also serves the process
+``refresh_mode="async"`` to share one; without it the detector creates a
+private one per client.  The same client also serves the process
 broker's :class:`~repro.runtime.broker.ProcessCoordinator`.
+
+Each submission returns a :class:`RefreshHandle` whose status moves
+``building -> ready | failed`` on the build thread (guarded by a lock)
+and ``ready -> swapped`` / ``* -> discarded`` on the engine thread, so
+every request resolves to exactly one terminal state.  When drift
+re-fires while a request is in flight the engine applies the client's
+``on_refire`` policy: ``"drop"`` discards the new trigger (the in-flight
+build already answers the regime change), ``"queue"`` keeps it pending
+so a follow-up build starts — on post-swap history — once the current
+one has swapped.
 
 Every admission decision is counted (:meth:`RefreshCoordinator.stats`);
 :func:`repro.metrics.events.fleet_refresh_report` renders the counters
@@ -77,13 +90,85 @@ from ..obs import default_registry, default_tracer
 # AdmissionClosed is re-exported: the engine and callers import it here.
 from .admission import (Admission, AdmissionClosed, CancelWorker,
                         CoordinatorStats, Dispatch, Resolve, RetryAt)
-from .worker import REFIRE_POLICIES, RefreshHandle, _BuildConsumer
 
 # repro.runtime.supervisor (BreakerOpen, BREAKER_STATES) is imported
 # lazily inside the methods that need it: repro.runtime.broker imports
 # this module at load time, so a top-level import here would be circular.
 
 _POLL_SECONDS = 0.05
+
+REFIRE_POLICIES = ("drop", "queue")
+
+
+class RefreshHandle:
+    """One submitted background build and its lifecycle.
+
+    Attributes
+    ----------
+    trigger_index: drift arrival that requested the build.
+    generation:    refresher generation captured at submit time (pins the
+                   replacement's seed regardless of completion order).
+    status:        ``"building"`` / ``"ready"`` / ``"failed"`` /
+                   ``"swapped"`` / ``"discarded"``.
+    replacement:   the built ensemble (once ready).
+    report:        the build's :class:`RefreshReport` (once ready).
+    error:         the exception that failed the build (if any).
+    """
+
+    def __init__(self, trigger_index: int, generation: int):
+        self.trigger_index = int(trigger_index)
+        self.generation = int(generation)
+        self.status = "building"
+        self.replacement = None
+        self.report = None
+        self.error: Optional[BaseException] = None
+        self.done = threading.Event()
+        self._lock = threading.Lock()
+
+    @property
+    def ready(self) -> bool:
+        return self.status == "ready"
+
+    @property
+    def in_flight(self) -> bool:
+        return self.status == "building"
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the build finishes (True) or ``timeout`` elapses.
+
+        Only waits for the *build*; the swap still happens on the engine
+        thread at the next update boundary (or ``poll_refresh()``).
+        """
+        return self.done.wait(timeout)
+
+    def _finish(self, status: str, replacement=None, report=None,
+                error: Optional[BaseException] = None) -> None:
+        """Build-side terminal transition; loses to a prior discard.
+
+        Does not signal ``done`` — the transport does, after the
+        done-hook has run, so observers woken by ``wait()`` see hooks
+        completed.
+        """
+        with self._lock:
+            if self.status == "building":
+                self.status = status
+                self.replacement = replacement
+                self.report = report
+                self.error = error
+
+    def _resolve(self, status: str) -> bool:
+        """Engine-side transition out of ``ready`` (swap) or any live
+        state (discard); returns False if already terminal."""
+        with self._lock:
+            if status == "swapped" and self.status != "ready":
+                return False
+            if self.status in ("swapped", "discarded"):
+                return False
+            self.status = status
+            if status == "discarded":
+                # Free the half/fully built ensemble promptly.
+                self.replacement = None
+        return True
 
 
 class _CoordinatorTelemetry:
@@ -152,20 +237,37 @@ def _report_for(report, trigger_index: int):
         return report
 
 
-class CoordinatedRefreshClient(_BuildConsumer):
-    """One stream's port into a shared :class:`RefreshCoordinator` or a
-    broker's :class:`~repro.runtime.broker.ProcessCoordinator`.
+class CoordinatedRefreshClient:
+    """One stream's port into a :class:`RefreshCoordinator` (shared or
+    private) or a broker's
+    :class:`~repro.runtime.broker.ProcessCoordinator`.
 
-    Shares the per-stream surface of
-    :class:`~repro.streaming.worker.RefreshWorker` (``submit`` / ``poll``
-    / ``take`` / ``discard`` / ``handle`` / ``busy`` / ``refresher`` /
-    ``on_refire`` — the lifecycle accessors come from the common
-    :class:`~repro.streaming.worker._BuildConsumer` base), so the engine
-    drives both the same way.  The difference is behind ``submit``:
-    instead of spawning a private thread, the request goes through
-    fleet-wide admission — it may queue behind the concurrency cap, or
-    join (dedup) an existing build for the same shared ensemble.  The
-    coordinator supplies ``_submit`` / ``_unsubscribe`` / ``_pump``.
+    The engine's only per-stream build surface: ``submit`` / ``poll`` /
+    ``take`` / ``discard`` / ``handle`` / ``busy`` / ``refresher`` /
+    ``on_refire``.  A request goes through admission — it may queue
+    behind the concurrency cap, or join (dedup) an existing build for
+    the same shared ensemble.  The coordinator supplies ``_submit`` /
+    ``_unsubscribe`` / ``_pump``.
+
+    The lifecycle on a private coordinator, with an instant duck-typed
+    refresher:
+
+    >>> import numpy as np
+    >>> class InstantRefresher:
+    ...     n_refreshes = 0
+    ...     def build(self, ensemble, history, index, **kwargs):
+    ...         return "replacement", "report"
+    >>> client = RefreshCoordinator().client(InstantRefresher())
+    >>> handle = client.submit("serving", np.zeros((4, 1)),
+    ...                        trigger_index=7)
+    >>> handle.wait(30.0)                  # build finished ...
+    True
+    >>> handle.ready, handle.replacement
+    (True, 'replacement')
+    >>> client.take() is handle            # ... engine adopts it at a
+    True
+    >>> client.busy                        #     boundary; client is free
+    False
     """
 
     def __init__(self, coordinator, refresher, on_refire: str = "queue",
@@ -186,17 +288,42 @@ class CoordinatedRefreshClient(_BuildConsumer):
         a later checkpoint/restart) instead of submitting."""
         return not self.coordinator._shutdown
 
+    @property
+    def handle(self) -> Optional[RefreshHandle]:
+        """The active (in-flight or finished-unconsumed) handle, if any."""
+        handle = self._handle
+        if handle is not None and handle.status in ("building", "ready",
+                                                    "failed"):
+            return handle
+        return None
+
+    @property
+    def attached_handle(self) -> Optional[RefreshHandle]:
+        """The handle regardless of status — includes one another actor
+        resolved to ``discarded`` (coordinator shutdown) that this
+        client has not observed yet.  Any attached handle means the
+        stream's refresh request is still unanswered; the engine's
+        ``state_dict`` persists it as pending."""
+        return self._handle
+
+    @property
+    def busy(self) -> bool:
+        """Whether a build is in flight or awaiting its boundary swap."""
+        return self.handle is not None
+
     def submit(self, ensemble, history: np.ndarray, trigger_index: int,
                generation: Optional[int] = None,
                trace=None) -> RefreshHandle:
         """Request a replacement build for ``ensemble`` through admission.
 
-        Same contract as ``RefreshWorker.submit`` — ``history`` must be a
-        snapshot the caller will not mutate, and at most one request per
-        client may be active; ``trace`` is the stream's optional
-        ``(root_span, admission_span)`` pair (the admission span ends at
-        build start, or immediately — marked ``deduped`` — when this
-        request joins an existing build).  The returned handle reports
+        ``history`` must be a snapshot the caller will not mutate (the
+        engine passes the corpus buffer's ``to_array()`` copy), and at
+        most one request per client may be active.  ``generation`` pins
+        the build's seed offset (the engine passes its committed-refresh
+        count, which survives checkpoint resume).  ``trace`` is the
+        stream's optional ``(root_span, admission_span)`` pair (the
+        admission span ends at build start, or immediately — marked
+        ``deduped`` — when this request joins an existing build).  The returned handle reports
         ``building`` from submission on (even while queued: from the
         stream's point of view the request is in flight either way) and
         resolves exactly once.
@@ -212,8 +339,30 @@ class CoordinatedRefreshClient(_BuildConsumer):
         self._handle = handle
         return handle
 
-    def _drain(self) -> None:
+    def poll(self) -> Optional[RefreshHandle]:
+        """The attached handle once its build has resolved, else None.
+
+        Non-blocking; the handle stays attached until :meth:`take` or
+        :meth:`discard` consumes it.  A handle resolved *by someone
+        else* (discarded by a coordinator shutdown) is still returned,
+        so the engine can observe the abandonment at its next boundary.
+        Pumps the coordinator first: for the process broker that pulls
+        replies off the port's reply queue, the only place a remote
+        build's terminal state can land in this process.
+        """
         self.coordinator._pump()
+        handle = self._handle
+        if handle is not None and handle.done.is_set():
+            return handle
+        return None
+
+    def take(self) -> Optional[RefreshHandle]:
+        """Detach and return the resolved handle, if any — the engine's
+        boundary-swap entry point."""
+        handle = self.poll()
+        if handle is not None:
+            self._handle = None
+        return handle
 
     def discard(self) -> Optional[RefreshHandle]:
         """Abandon this stream's subscription; its result never serves.
@@ -237,7 +386,7 @@ class CoordinatedRefreshClient(_BuildConsumer):
             handle = self._handle
             if handle is None:
                 return True
-            self._drain()            # a broker reply may resolve it
+            self.coordinator._pump()   # a broker reply may resolve it
             wait = _POLL_SECONDS if deadline is None \
                 else min(_POLL_SECONDS, deadline - time.monotonic())
             if handle.done.wait(max(0.0, wait)):
@@ -247,7 +396,7 @@ class CoordinatedRefreshClient(_BuildConsumer):
 
 
 class RefreshCoordinator:
-    """Shared admission control for a fleet's refresh builds.
+    """Admission control and build threads for refresh builds.
 
     Parameters
     ----------
@@ -280,9 +429,9 @@ class RefreshCoordinator:
     ``on_build_start`` / ``on_build_done`` are optional callbacks invoked
     *on the build thread* with the internal
     :class:`~repro.streaming.admission.Build` record — event hooks for
-    deterministic concurrency tests and production telemetry, the
-    fleet-level analogue of ``RefreshWorker``'s hooks.  A raising start
-    hook fails the build (never wedges it).
+    deterministic concurrency tests and production telemetry
+    (``build.payload.trigger_index`` is the leader's drift trigger).  A
+    raising start hook fails the build (never wedges it).
 
     Configuration and counters are cheap to inspect and round-trip
     through fleet checkpoints:
@@ -348,9 +497,8 @@ class RefreshCoordinator:
     # ------------------------------------------------------------------
     def client(self, refresher, on_refire: str = "queue",
                priority: int = 0) -> CoordinatedRefreshClient:
-        """A per-stream port (``RefreshWorker`` drop-in) into this
-        coordinator; the engine creates one lazily per attached
-        refresher."""
+        """A per-stream port into this coordinator; the engine creates
+        one lazily per attached refresher."""
         return CoordinatedRefreshClient(self, refresher,
                                         on_refire=on_refire,
                                         priority=priority)

@@ -23,14 +23,16 @@ Refresh modes
 ``refresh_mode="inline"`` retrains on the ingesting thread: the arrival
 that passes the refresher's gates pays the full training time before its
 ``StreamUpdate`` returns.  ``refresh_mode="async"`` hands the build to a
-:class:`~repro.streaming.worker.RefreshWorker`: the old ensemble keeps
-serving (scoring never blocks on the build) and the replacement is
-swapped in **atomically at the next ``update()``/``update_batch()``
-boundary** after the build finishes — the whole batch is scored by one
-ensemble, never a mixture.  ``pending_refresh`` exposes the in-flight
-build's :class:`~repro.streaming.worker.RefreshHandle`; drift re-firing
+:class:`~repro.streaming.coordinator.RefreshCoordinator` — the fleet's
+shared one when ``coordinator=`` is given, else a private one per
+attached refresher: the old ensemble keeps serving (scoring never blocks
+on the build) and the replacement is swapped in **atomically at the next
+``update()``/``update_batch()`` boundary** after the build finishes —
+the whole batch is scored by one ensemble, never a mixture.
+``pending_refresh`` exposes the in-flight build's
+:class:`~repro.streaming.coordinator.RefreshHandle`; drift re-firing
 mid-build follows the ``refresh_refire`` drop/queue policy (see
-:mod:`repro.streaming.worker`).  ``poll_refresh()`` is an explicit
+:mod:`repro.streaming.coordinator`).  ``poll_refresh()`` is an explicit
 boundary for idle streams, and ``wait_for_refresh()`` blocks until the
 build lands (for tests and draining).
 """
@@ -49,10 +51,10 @@ from ..datasets.windows import sliding_windows
 from ..obs import default_registry, default_tracer
 from .buffer import HistoryBuffer, SlidingWindow, history_buffer_from_state
 from .calibration import calibrator_from_state
-from .coordinator import AdmissionClosed
+from .coordinator import (REFIRE_POLICIES, AdmissionClosed,
+                          CoordinatedRefreshClient, RefreshCoordinator)
 from .drift import DriftEvent, drift_detector_from_state
 from .refresh import RefreshReport
-from .worker import REFIRE_POLICIES, RefreshWorker
 
 REFRESH_MODES = ("inline", "async")
 
@@ -202,8 +204,9 @@ class StreamingDetector:
                      :class:`~repro.streaming.coordinator.RefreshCoordinator`
                      through which async builds are admitted (bounded
                      concurrency, dedup across streams sharing this
-                     ensemble) instead of each detector spawning its own
-                     worker thread.  Requires ``refresh_mode="async"``.
+                     ensemble) instead of each detector admitting its
+                     builds through a private coordinator.  Requires
+                     ``refresh_mode="async"``.
     refresh_priority: admission priority of this stream's builds under a
                      coordinator's ``"priority"`` policy (higher runs
                      first; ignored without a coordinator).
@@ -264,7 +267,7 @@ class StreamingDetector:
         self._index = 0
         self._pending_refresh = False
         self._pending_trigger_index: Optional[int] = None
-        self._worker: Optional[RefreshWorker] = None
+        self._worker: Optional[CoordinatedRefreshClient] = None
         self._announce_refresh = False
         self.alerts: List[int] = []
         self.drift_events: List[DriftEvent] = []
@@ -299,14 +302,15 @@ class StreamingDetector:
         refresh sooner than the uninterrupted detector would have.
         A build the *old* refresher has in flight is abandoned — its
         policy object is obsolete — so at most one *adoptable* build
-        exists at a time (the abandoned daemon thread trains to
-        completion but its result is dropped, briefly overlapping a
-        successor build's CPU; swap policies when quiet to avoid paying
-        that); the abandoned build's *request* is restored as pending
-        (same contract as checkpointing mid-build), so the new refresher
-        re-runs it once its gates allow — even when detaching with
-        ``refresher=None``, where the request waits on the detector for
-        a refresher attached later."""
+        exists at a time.  The abandoned build is cancelled: a refresher
+        whose ``build`` takes ``cancel`` (the canonical one does) stops
+        before its next basic model; a duck-typed one without it trains
+        to completion on its own thread, briefly overlapping a successor
+        build's CPU, and its result is dropped.  The abandoned build's
+        *request* is restored as pending (same contract as checkpointing
+        mid-build), so the new refresher re-runs it once its gates allow
+        — even when detaching with ``refresher=None``, where the request
+        waits on the detector for a refresher attached later."""
         self._refresher = refresher
         worker = getattr(self, "_worker", None)
         if worker is not None and worker.refresher is not refresher:
@@ -391,10 +395,9 @@ class StreamingDetector:
 
     @property
     def refresh_worker(self):
-        """The async build executor (created on first async submit): a
-        private :class:`~repro.streaming.worker.RefreshWorker`, or a
+        """The async build port (created on first async submit): a
         :class:`~repro.streaming.coordinator.CoordinatedRefreshClient`
-        when a fleet coordinator owns admission."""
+        of the fleet coordinator, or of a private one without it."""
         return self._worker
 
     @property
@@ -593,7 +596,7 @@ class StreamingDetector:
         handle = self._worker.handle if self._worker is not None else None
         # Only a build that can still deliver justifies dropping the new
         # trigger; a FAILED build answers nothing, so the request must
-        # register even under the drop policy.  (The worker owns the
+        # register even under the drop policy.  (The client owns the
         # refire policy; the engine's refresh_refire only seeds it.)
         in_flight = handle is not None and handle.status in ("building",
                                                              "ready")
@@ -637,14 +640,15 @@ class StreamingDetector:
             return True
         if self._worker is None or self._worker.refresher \
                 is not self._refresher:
-            if self.coordinator is not None:
-                self._worker = self.coordinator.client(
-                    self._refresher, on_refire=self.refresh_refire,
-                    priority=self.refresh_priority)
-            else:
-                self._worker = RefreshWorker(self._refresher,
-                                             on_refire=self.refresh_refire)
-        if not getattr(self._worker, "accepting", True):
+            # One private coordinator per client, not per detector: a
+            # swapped-in refresher never queues behind the build its
+            # predecessor's client just cancelled.
+            coordinator = self.coordinator if self.coordinator is not None \
+                else RefreshCoordinator()
+            self._worker = coordinator.client(
+                self._refresher, on_refire=self.refresh_refire,
+                priority=self.refresh_priority)
+        if not self._worker.accepting:
             # Admission is closed (coordinator shut down): the request
             # stays pending — it survives a checkpoint and re-submits
             # after a restart — rather than failing the serving thread.
@@ -654,9 +658,9 @@ class StreamingDetector:
             # build to swap before a follow-up build may start.
             return False
         # The admission span covers submit -> build start (queueing and
-        # dedup happen inside); the worker/coordinator ends it.  The
+        # dedup happen inside); the coordinator ends it.  The
         # (root, admission) pair rides along so build-side spans created
-        # on the worker thread join this stream's trace.
+        # on the build thread join this stream's trace.
         trace = None
         if root is not None and tracer.enabled:
             trace = (root, tracer.start_span("refresh.admission",

@@ -33,11 +33,11 @@ class StreamStats:
     """Per-stream counters surfaced by :meth:`StreamFleet.stats`.
 
     The refresh-cost fields are fed from the detector's committed
-    ``refresh_reports``, which both refresh paths populate identically —
-    a private :class:`~repro.streaming.worker.RefreshWorker` and a
-    coordinator-admitted (possibly deduplicated) build alike — so a
-    shared-ensemble fleet reports the training cost behind every
-    stream's swaps, not just worker-path ones.
+    ``refresh_reports``, which every refresh path populates identically —
+    inline, a private coordinator's build and a shared coordinator's
+    (possibly deduplicated) build alike — so a shared-ensemble fleet
+    reports the training cost behind every stream's swaps, not just
+    the builds it ran itself.
     """
     name: str
     n_observations: int
@@ -192,12 +192,12 @@ class StreamFleet:
 
         Each detector's in-flight build request is discarded (the handle
         resolves to ``discarded``; the serving ensemble keeps serving)
-        and the shared coordinator, if any, cancels every queued and
-        running build — cancelled builds release their CPU before
-        fitting another basic model.  Scoring remains possible; only
-        refresh admission stops.
+        and every coordinator — the shared one, if any, and each
+        detector's private one — shuts down, cancelling every queued and
+        running build: cancelled builds release their CPU before fitting
+        another basic model.  Scoring remains possible; only refresh
+        admission stops.
         """
-        from .worker import RefreshWorker
         for detector in self._detectors.values():
             worker = detector.refresh_worker
             if worker is not None:
@@ -207,11 +207,11 @@ class StreamFleet:
                     # abandoned build, exactly as checkpointing mid-build
                     # would record it.
                     detector._restore_request(abandoned.trigger_index)
-                if isinstance(worker, RefreshWorker):
-                    # Private workers have no shared queue to close:
-                    # gate each one, or the restored request would just
-                    # relaunch a build at the next update.
-                    worker.accepting = False
+                if detector.coordinator is None:
+                    # A private coordinator is not the fleet's to close
+                    # below: shut each one, or the restored request would
+                    # just relaunch a build at the next update.
+                    worker.coordinator.shutdown()
         if self.coordinator is not None:
             self.coordinator.shutdown()
 
@@ -268,7 +268,8 @@ class StreamFleet:
             # The caller's factory predates the rebuilt coordinator and
             # cannot close over it: inject it, so streams first seen
             # after the resume share the fleet's admission queue instead
-            # of spawning private, uncapped workers.
+            # of each building through a private coordinator (no
+            # fleet-wide cap, no dedup).
             def factory(name, _inner=detector_factory):
                 detector = _inner(name)
                 if detector.coordinator is None and \
@@ -365,8 +366,8 @@ def shared_fleet(ensemble: CAEEnsemble,
     per-stream refresh replaces only that stream's serving ensemble —
     other streams keep the shared original.  ``refresh_mode="async"``
     keeps every stream's scoring latency flat while its replacement
-    trains in the background: each detector owns a private worker
-    thread, *unless* admission control is requested — pass a
+    trains in the background: each detector admits its builds through
+    a private coordinator, *unless* fleet admission is requested — pass a
     ``coordinator`` (or just ``max_concurrent_builds``, which builds a
     FIFO :class:`~repro.streaming.coordinator.RefreshCoordinator`) and
     all streams' builds share one bounded, deduplicating queue, so K

@@ -19,7 +19,7 @@ A ``cooldown`` and ``min_history`` gate prevents refresh storms when a
 noisy stream re-triggers drift immediately after a refresh.
 
 The mechanism is split in two so refreshes can run off the serving path
-(:mod:`repro.streaming.worker`): :meth:`EnsembleRefresher.build`
+(:mod:`repro.streaming.coordinator`): :meth:`EnsembleRefresher.build`
 constructs the replacement without touching any refresher state — safe to
 call from a background thread — and :meth:`EnsembleRefresher.commit`
 records the report and restarts the cooldown clock at the moment the

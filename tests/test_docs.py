@@ -31,7 +31,6 @@ DOCTESTED_MODULES = [
     "repro.streaming.engine",
     "repro.streaming.multi",
     "repro.streaming.refresh",
-    "repro.streaming.worker",
 ]
 
 MARKDOWN_FILES = ["README.md", "PAPER.md", "ROADMAP.md", "CHANGES.md",

@@ -318,6 +318,10 @@ class TestProcessFaults:
             assert local.join(GATE_TIMEOUT)
             assert local.take() is rebuilt and rebuilt.ready
             assert rebuilt.report.trigger_index == 60
+            # The degraded-mode fallback ran that build, and its ledger
+            # is what the coordinator reports while the broker is gone.
+            stats = coordinator.stats()
+            assert stats.n_requests == 1 and stats.n_completed == 1
         finally:
             broker.shutdown(timeout=1.0)
         from repro.runtime import list_segments

@@ -13,7 +13,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.streaming import (DriftEvent, RefreshWorker, StreamingDetector)
+from repro.core import TrainingCancelled
+from repro.streaming import (DriftEvent, RefreshCoordinator,
+                             StreamingDetector)
 from repro.streaming.refresh import RefreshReport
 from tests.conftest import sine_regime
 
@@ -67,6 +69,29 @@ class SlowRefresher:
     def commit(self, report):
         self.reports.append(report)
         self.last_refresh_index = report.index
+
+
+class CancelObservingRefresher(SlowRefresher):
+    """Gated stub whose build takes the cancel flag and, once its gate
+    opens, stops the way :meth:`CAEEnsemble.fit` does if it was set."""
+
+    def __init__(self, replacement, gate):
+        super().__init__(replacement, gate)
+        self.observed_cancel = False
+        self.finished = threading.Event()
+
+    def build(self, ensemble, history, index, generation=None,
+              trigger_index=None, mode="inline", cancel=None):
+        try:
+            result = super().build(ensemble, history, index,
+                                   generation=generation,
+                                   trigger_index=trigger_index, mode=mode)
+            if cancel is not None and cancel.is_set():
+                self.observed_cancel = True
+                raise TrainingCancelled(0)
+            return result
+        finally:
+            self.finished.set()
 
 
 class FireAt:
@@ -141,16 +166,17 @@ class TestScoringNeverBlocks:
         gate = threading.Event()
         gate.set()                                     # build is instant
         detector, refresher, _ = make_async_detector(stream_ensemble, gate)
-        # Pre-create the worker so the event hooks are attached before the
-        # first build is submitted.
-        worker = RefreshWorker(refresher, on_refire="queue")
-        detector._worker = worker
+        # Pre-create the private coordinator's client so the event hooks
+        # are attached before the first build is submitted.
+        coordinator = RefreshCoordinator()
+        detector._worker = coordinator.client(refresher, on_refire="queue")
         events = []
         main_thread = threading.current_thread().name
-        worker.on_build_start = lambda handle: events.append(
-            ("start", handle.trigger_index, threading.current_thread().name))
-        worker.on_build_done = lambda handle: events.append(
-            ("done", handle.status, threading.current_thread().name))
+        coordinator.on_build_start = lambda build: events.append(
+            ("start", build.payload.trigger_index,
+             threading.current_thread().name))
+        coordinator.on_build_done = lambda build: events.append(
+            ("done", build.status, threading.current_thread().name))
         detector.update_batch(sine_regime(31, start=360))
         assert detector.pending_refresh.wait(GATE_TIMEOUT)
         assert detector.wait_for_refresh(GATE_TIMEOUT)
@@ -320,7 +346,7 @@ class TestRefirePolicy:
 
     def test_invalid_refire_policy_rejected(self, stream_ensemble):
         with pytest.raises(ValueError):
-            RefreshWorker(object(), on_refire="retry")
+            RefreshCoordinator().client(object(), on_refire="retry")
         with pytest.raises(ValueError):
             StreamingDetector(stream_ensemble, history=64,
                               refresh_mode="sometimes")
@@ -348,13 +374,13 @@ class TestRefirePolicy:
         gate = threading.Event()
         gate.set()
         detector, refresher, _ = make_async_detector(stream_ensemble, gate)
-        worker = RefreshWorker(refresher, on_refire="queue")
-        detector._worker = worker
+        coordinator = RefreshCoordinator()
+        detector._worker = coordinator.client(refresher, on_refire="queue")
 
-        def broken_hook(handle):
+        def broken_hook(build):
             raise RuntimeError("telemetry exploded")
 
-        worker.on_build_start = broken_hook
+        coordinator.on_build_start = broken_hook
         detector.update_batch(sine_regime(40, start=360))
         handle = detector.pending_refresh
         assert handle is not None
@@ -363,7 +389,7 @@ class TestRefirePolicy:
         with pytest.raises(RuntimeError, match="async ensemble refresh"):
             detector.poll_refresh()
         # The request survived the hook failure; a fixed hook retries it.
-        worker.on_build_start = None
+        coordinator.on_build_start = None
         assert detector._pending_refresh
         detector.update_batch(sine_regime(10, start=400))
         assert detector.wait_for_refresh(GATE_TIMEOUT)
@@ -462,6 +488,36 @@ class TestResumeSemantics:
         assert detector.n_refreshes == 1
         assert detector.refresh_reports[0].trigger_index == 30
         assert detector.ensemble is other.replacement
+
+    def test_replacing_the_refresher_cancels_its_build(
+            self, stream_ensemble):
+        """Without a fleet coordinator the detector's private coordinator
+        forwards ``cancel`` to a refresher that accepts it, so an
+        abandoned build stops early instead of training to completion —
+        and nothing it produced is ever swapped in."""
+        gate = threading.Event()
+        replacement = ConstantEnsemble(1234.5, stream_ensemble.cae_config)
+        refresher = CancelObservingRefresher(replacement, gate)
+        detector = StreamingDetector(stream_ensemble,
+                                     drift_detector=FireAt(30),
+                                     refresher=refresher, history=64,
+                                     refresh_mode="async")
+        detector.warm_up(sine_regime(7, start=353))
+        detector.update_batch(sine_regime(40, start=360))
+        assert wait_build_started(refresher)
+        client = detector.refresh_worker
+
+        detector.refresher = None              # discards the held build
+        gate.set()
+        assert refresher.finished.wait(GATE_TIMEOUT)
+        assert refresher.observed_cancel       # stopped, not completed
+        # The private coordinator counts the cancellation.
+        assert client.coordinator.drain(GATE_TIMEOUT)
+        assert client.coordinator.stats().n_cancelled == 1
+        detector.update_batch(sine_regime(20, start=400))
+        assert detector.ensemble is stream_ensemble
+        assert detector.n_refreshes == 0
+        assert refresher.reports == []
 
     def test_detaching_the_refresher_keeps_the_request(
             self, stream_ensemble):
