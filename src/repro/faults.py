@@ -46,7 +46,7 @@ battery schedules over this list):
 ``shm.publish``       entry of :func:`repro.runtime.shm.publish_pack`
 ``shm.publish.torn``  site-interpreted ``"torn"``: corrupt the pack body
 ``shm.attach``        entry of :func:`repro.runtime.shm.attach_pack`
-``pool.build``        worker process, after dequeuing a build task
+``pool.build``        worker process, after receiving a build job
 ``broker.loop``       broker process, per message handled
 ``fleet.shard.op``    shard server, per command received
 ``fleet.shard.update`` shard server, per scoring/update command only
@@ -95,7 +95,7 @@ class FaultInjected(RuntimeError):
     def __reduce__(self):
         # Default Exception pickling replays ``args`` (the rendered
         # message) into ``__init__`` — keep the real constructor args so
-        # the fault survives the worker→broker result queue intact.
+        # the fault survives a worker's result pipe intact.
         return (FaultInjected, (self.point_name, self.hit))
 
 

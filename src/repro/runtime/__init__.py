@@ -14,8 +14,8 @@ one process; this package moves the expensive halves out of it:
   moves out.
 * :mod:`repro.runtime.broker` — :class:`BuildBroker`, admission as a
   process: one broker drives the same admission core as the
-  coordinator for N server processes, pool workers pull builds, and
-  one published pack fans out to every subscribing server.  Servers
+  coordinator for N server processes, builds on its own process pool,
+  and fans one published pack out to every subscribing server.  Servers
   degrade to a private in-process coordinator if the broker dies.
 * :mod:`repro.runtime.fleet` — :class:`ShardedFleet`, a
   :class:`~repro.streaming.multi.StreamFleet` sharded over N forked

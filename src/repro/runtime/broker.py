@@ -13,9 +13,11 @@ process:
 * the broker drives the same
   :class:`~repro.streaming.admission.Admission` core as the coordinator
   (dedup keyed by an explicit ``_broker_key`` — object identity cannot
-  cross a process boundary) and dispatches admitted builds to its build
-  worker processes (:func:`repro.runtime.pool._worker_main`, the same
-  loop the in-process pool uses);
+  cross a process boundary) and runs each admitted build through its own
+  :class:`~repro.runtime.pool.ProcessBuildPool`, forked inside the
+  broker process: one pipe per build worker, so a killed worker fails
+  (or, under a retry policy, retries) only its own build and is
+  respawned by the pool;
 * a finished build is published **once** to shared memory; the broker
   fans the manifest out to every subscribing port, and each server
   attaches the same segment zero-copy.  When a newer generation for the
@@ -46,6 +48,7 @@ import time
 from typing import Dict, List, Optional
 
 from .. import faults
+from ..core.ensemble import TrainingCancelled
 from ..obs import default_registry
 from ..streaming.admission import (Admission, AdmissionClosed, CancelWorker,
                                    CoordinatorStats, Dispatch, Resolve)
@@ -53,7 +56,7 @@ from ..streaming.coordinator import (CoordinatedRefreshClient,
                                      RefreshCoordinator, RefreshHandle,
                                      _report_for)
 from . import shm
-from .pool import WorkerCrashed, _worker_main
+from .pool import ProcessBuildPool
 from .supervisor import RestartPolicy, RetryPolicy
 
 _POLL_SECONDS = 0.05
@@ -62,19 +65,27 @@ _POLL_SECONDS = 0.05
 # ----------------------------------------------------------------------
 # Broker process
 # ----------------------------------------------------------------------
-def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
-                 policy, namespace, drain_timeout, retry) -> None:
+def _broker_main(inbox, ports, max_concurrent, policy, namespace,
+                 drain_timeout, retry, n_workers, worker_context) -> None:
     """The broker's message loop: the process transport of the
     :class:`~repro.streaming.admission.Admission` core.
 
-    Messages become admission events; the core's actions become task
-    puts, worker cancel flags and port replies.  Only the broker's own
-    work lives here: publishing manifests (unlinking the superseded
-    generation) and reaping dead build workers on idle ticks.
+    Messages become admission events; the core's actions become builds
+    on the broker's own :class:`~repro.runtime.pool.ProcessBuildPool`
+    (one thread per running attempt, which reports back through a local
+    queue), cancel flags and port replies.  Only the broker's own work
+    lives here: publishing manifests and unlinking the superseded
+    generation.
     """
+    # The owner still treats this process as a daemon (its copy of the
+    # flag is untouched); clearing ours lets the broker fork its pool.
+    mp.current_process().daemon = False
     shm.set_segment_namespace(namespace)
+    pool = ProcessBuildPool(n_workers, worker_context=worker_context,
+                            namespace=namespace)
     admission = Admission(max_concurrent, policy, retry)
-    workers: Dict[int, tuple] = {}     # build id -> (worker index, pid)
+    cancels: Dict[int, threading.Event] = {}
+    ended = queue.Queue()              # (kind, build id, result)
     triggers: Dict[tuple, int] = {}    # (port, request id) -> trigger
     latest_manifest: Dict[str, dict] = {}
     deadline = None
@@ -85,19 +96,29 @@ def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
         except (ValueError, OSError):
             pass
 
+    def run_attempt(build_id, payload, cancel):
+        refresher, ensemble, history, kwargs = payload
+        try:
+            ended.put(("done", build_id, pool.run_build(
+                refresher, ensemble, history, kwargs, cancel)))
+        except TrainingCancelled:
+            ended.put(("cancelled", build_id, None))
+        except Exception as exc:        # WorkerCrashed or the build's own
+            ended.put(("failed", build_id, exc))
+
     def perform(actions):
         for action in actions:
             build = action.build
             if isinstance(action, Dispatch):
-                refresher, ensemble, history, kwargs = build.payload
-                tasks.put((build.id, refresher, ensemble, history, kwargs,
-                           True, None))
+                cancel = cancels.setdefault(build.id, threading.Event())
+                threading.Thread(target=run_attempt,
+                                 args=(build.id, build.payload, cancel),
+                                 name=f"broker-build-{build.id}",
+                                 daemon=True).start()
             elif isinstance(action, CancelWorker):
-                # A build no worker has reported yet is stopped when its
-                # worker does (admission.started).
-                if build.id in workers:
-                    cancel_events[workers[build.id][0]].set()
+                cancels[build.id].set()
             elif isinstance(action, Resolve):
+                cancels.pop(build.id, None)
                 replacement = report = manifest = error = None
                 if action.status == "ready":
                     replacement, report, manifest = action.result
@@ -118,16 +139,16 @@ def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
                         _report_for(report, triggers.pop(subscriber)),
                         manifest, error))
 
-    def attempt_ended(kind, build_id, first, report=None, manifest=None):
-        workers.pop(build_id, None)
+    def attempt_ended(kind, build_id, result):
         if kind == "done":
-            actions = admission.done(build_id, (first, report, manifest))
+            actions = admission.done(build_id, result)
+            manifest = result[2]
             if manifest is not None and not any(
                     isinstance(action, Resolve) and action.status == "ready"
                     for action in actions):
                 shm.unlink_pack(manifest)       # nobody wants it
         elif kind == "failed":
-            actions = admission.failed(build_id, first, time.monotonic())
+            actions = admission.failed(build_id, result, time.monotonic())
         else:
             actions = admission.cancelled(build_id)
         perform(actions)
@@ -136,13 +157,7 @@ def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
         try:
             message = inbox.get(timeout=_POLL_SECONDS)
         except queue.Empty:
-            # Idle tick: a SIGKILLed worker never reports back, so detect
-            # it by pid and fail (or retry) the build it was running.
-            for build_id, (_, pid) in list(workers.items()):
-                if not shm.pid_alive(pid):
-                    attempt_ended("failed", build_id, WorkerCrashed(
-                        f"build worker (pid {pid}) died while training "
-                        f"build {build_id}"))
+            pass
         except (EOFError, OSError):
             break
         else:
@@ -173,12 +188,11 @@ def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
             elif kind == "shutdown":
                 deadline = time.monotonic() + drain_timeout
                 perform(admission.shutdown())
-            elif kind == "started":
-                _, build_id, worker_index, worker_pid = message
-                workers[build_id] = (worker_index, worker_pid)
-                perform(admission.started(build_id))
-            elif kind in ("done", "cancelled", "failed"):
-                attempt_ended(*message)
+        while True:
+            try:
+                attempt_ended(*ended.get_nowait())
+            except queue.Empty:
+                break
         perform(admission.tick(time.monotonic()))
         if admission.closed and (not admission.n_running
                                  or time.monotonic() > deadline):
@@ -188,13 +202,15 @@ def _broker_main(inbox, ports, tasks, cancel_events, max_concurrent,
     perform(admission.shutdown())
     for build in admission.running:
         perform(admission.cancelled(build.id))
+    pool.shutdown(timeout=1.0)
     for manifest in latest_manifest.values():
         shm.unlink_pack(manifest)
     shm.sweep_orphans(namespace)
 
 
 class BuildBroker:
-    """Owns the broker process, its build workers and the port queues.
+    """Owns the broker process (which owns its build pool) and the port
+    queues.
 
     Construct (and :meth:`port`) **before** forking server processes so
     the queues are inherited everywhere.  The constructing process owns
@@ -219,8 +235,9 @@ class BuildBroker:
                     enabling supervision: a watchdog thread respawns a
                     dead broker process over the **same** queues (ports
                     re-attach on their next pump; see
-                    ``docs/robustness.md``) within the policy's budget,
-                    and respawns dead build workers unconditionally.
+                    ``docs/robustness.md``) within the policy's budget.
+                    Build workers need no watchdog: the broker's pool
+                    respawns a dead one itself.
                     ``None`` (default) keeps the PR-8 behaviour: broker
                     death degrades ports to local refresh forever.
     """
@@ -249,23 +266,16 @@ class BuildBroker:
         self.retry = retry
         self._drain_timeout = float(drain_timeout)
         self._inbox = self._ctx.Queue()
-        self._tasks = self._ctx.Queue()
         self._port_queues = [self._ctx.Queue() for _ in range(n_ports)]
-        self._cancel_events = [self._ctx.Event()
-                               for _ in range(self.n_workers)]
         # Fork-shared: ports (in any process) read the current broker
         # pid here to re-attach after a supervised restart.
         self._pid_value = self._ctx.Value("i", 0)
         self._context = dict(worker_context or {})
-        self._workers: List = []
-        for index in range(self.n_workers):
-            self._spawn_worker(index)
         self._spawn_broker()
         self._closed = False
         self._restart_policy = restart
         self._restarted = threading.Event()
         self.n_restarts = 0
-        self.n_worker_restarts = 0
         self.quarantined = False
         self._stop_watchdog = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
@@ -276,26 +286,13 @@ class BuildBroker:
                                               daemon=True)
             self._watchdog.start()
 
-    def _spawn_worker(self, index: int) -> None:
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(index, self._tasks, self._inbox,
-                  self._cancel_events[index], self._context,
-                  self.namespace),
-            name=f"broker-build-{index}", daemon=True)
-        process.start()
-        if index < len(self._workers):
-            self._workers[index] = process
-        else:
-            self._workers.append(process)
-
     def _spawn_broker(self) -> None:
         self._process = self._ctx.Process(
             target=_broker_main,
-            args=(self._inbox, self._port_queues, self._tasks,
-                  self._cancel_events, self.max_concurrent_builds,
-                  self.policy, self.namespace, self._drain_timeout,
-                  self.retry),
+            args=(self._inbox, self._port_queues,
+                  self.max_concurrent_builds, self.policy, self.namespace,
+                  self._drain_timeout, self.retry, self.n_workers,
+                  self._context),
             name="refresh-broker", daemon=True)
         self._process.start()
         self._pid_value.value = self._process.pid
@@ -333,8 +330,7 @@ class BuildBroker:
         return self._restarted.wait(timeout)
 
     def _supervise(self) -> None:
-        """Watchdog: respawn a dead broker (within the restart budget)
-        and any dead build worker."""
+        """Watchdog: respawn a dead broker within the restart budget."""
         while not self._stop_watchdog.wait(self._watchdog_interval):
             if self._closed:
                 return
@@ -343,14 +339,6 @@ class BuildBroker:
                     self.restart()
                 else:
                     self.quarantined = True
-            for index, process in enumerate(self._workers):
-                if process.exitcode is not None:
-                    self._spawn_worker(index)
-                    self.n_worker_restarts += 1
-                    registry = default_registry()
-                    if registry.enabled:
-                        registry.counter("repro_restarts_total",
-                                         component="build_worker").inc()
 
     def health(self) -> dict:
         """Supervision view: liveness plus restart history.
@@ -363,8 +351,7 @@ class BuildBroker:
             else self._restart_policy.recent()
         return {"alive": self.alive(), "quarantined": self.quarantined,
                 "restarts": self.n_restarts,
-                "recent_restarts": recent,
-                "worker_restarts": self.n_worker_restarts}
+                "recent_restarts": recent}
 
     def port(self, index: int) -> "BrokerPort":
         """The ``index``-th server port (call in, or before forking, the
@@ -376,9 +363,6 @@ class BuildBroker:
         process hands to its :class:`~repro.streaming.multi.StreamFleet`."""
         return ProcessCoordinator(self.port(index))
 
-    def worker_pids(self) -> List[Optional[int]]:
-        return [process.pid for process in self._workers]
-
     def kill(self) -> None:
         """SIGKILL the broker process (fault-injection hook)."""
         if self._process.exitcode is None:
@@ -386,7 +370,8 @@ class BuildBroker:
         self._process.join(5.0)
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the broker and workers; unlink every published pack."""
+        """Stop the broker (which stops its build pool); unlink every
+        published pack."""
         if self._closed:
             return
         self._closed = True
@@ -402,17 +387,6 @@ class BuildBroker:
         if self._process.exitcode is None:
             self._process.terminate()
             self._process.join(2.0)
-        for _ in self._workers:
-            try:
-                self._tasks.put_nowait(None)
-            except (ValueError, OSError):
-                break
-        deadline = time.monotonic() + timeout
-        for process in self._workers:
-            process.join(max(0.0, deadline - time.monotonic()))
-            if process.exitcode is None:
-                process.terminate()
-                process.join(2.0)
         shm.sweep_orphans(self.namespace)
 
 

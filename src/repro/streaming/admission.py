@@ -243,14 +243,6 @@ class Admission:
             return []
         return self._cancel(build)
 
-    def started(self, build_id: int) -> list:
-        """A worker picked the build up: stop it at once if nobody wants
-        it any more (the cancel arrived before the worker was known)."""
-        build = self._builds.get(build_id)
-        if build is not None and build.cancel_requested:
-            return [CancelWorker(build)]
-        return []
-
     def done(self, build_id: int, result=None) -> list:
         build = self._builds.get(build_id)
         if build is None:

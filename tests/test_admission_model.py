@@ -1,7 +1,7 @@
 """Model-based test of the pure admission core.
 
-Seeded random sequences of submit / unsubscribe / started / done /
-failed / cancelled / tick / shutdown events drive
+Seeded random sequences of submit / unsubscribe / done / failed /
+cancelled / tick / shutdown events drive
 :class:`repro.streaming.admission.Admission` and a small, deliberately
 naive reference model side by side.  After every event the actions and
 the ledger must agree, and the core's invariants must hold: the cap,
@@ -94,11 +94,6 @@ class ReferenceModel:
                 build["subs"].remove(subscriber)
                 return [] if build["subs"] else self.cancel(build)
         return []
-
-    def started(self, build_id):
-        build = self.builds[build_id]
-        return [("cancel", build_id)] if build["state"] == "running" \
-            and build["cancel"] else []
 
     def done(self, build_id):
         build = self.builds[build_id]
@@ -204,9 +199,9 @@ def run_sequence(seed, cap, policy, max_retries):
 
     for _ in range(N_STEPS):
         now += rng.choice((0.0, 0.1, 0.4, 1.0))
-        op = rng.choices(("submit", "unsubscribe", "started", "done",
-                          "failed", "cancelled", "tick", "shutdown"),
-                         weights=(8, 3, 2, 3, 3, 1, 3, 0.3))[0]
+        op = rng.choices(("submit", "unsubscribe", "done", "failed",
+                          "cancelled", "tick", "shutdown"),
+                         weights=(8, 3, 3, 3, 1, 3, 0.3))[0]
         attempts = running_attempts(core)
         if op == "submit":
             subscriber = f"s{next_subscriber}"
@@ -230,7 +225,7 @@ def run_sequence(seed, cap, policy, max_retries):
                 resolved[subscriber] += 1
             actions = core.unsubscribe(subscriber)
             expected = model.unsubscribe(subscriber)
-        elif op in ("started", "done", "failed", "cancelled") and attempts:
+        elif op in ("done", "failed", "cancelled") and attempts:
             build_id = rng.choice(attempts).id
             if op == "failed":
                 actions = core.failed(build_id, RuntimeError("boom"), now)

@@ -6,6 +6,9 @@ no outliers ever flagged).  These tests pin the contract: invalid inputs
 raise immediately with actionable messages.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.baselines import (IsolationForest, MovingAverageSmoothing, RAE)
 from repro.core import CAEConfig, CAEEnsemble, EnsembleConfig
 from repro.experiments.tables import sequential_depth_per_window
 from repro.experiments.reporting import paired_row
+from tests.test_runtime_processes import ProcessGatedRefresher
 
 
 @pytest.fixture
@@ -119,6 +123,77 @@ class TestHarnessHelpers:
 # ----------------------------------------------------------------------
 # Process-level faults: the runtime must degrade, never poison serving
 # ----------------------------------------------------------------------
+N_KILL_SEEDS = 36
+KILL_RESULT_BYTES = 16 * 2 ** 20
+
+
+class KillPointRefresher:
+    """Build stub that marks the kill point with one byte on a raw pipe
+    (``os.write`` takes no lock, so a kill cannot poison it), then
+    blocks (``"build"``) or returns a multi-MB replacement whose pickle
+    and send the kill can interrupt (``"send"``).  ``"quick"`` returns
+    an 8-byte replacement without signalling."""
+
+    def __init__(self, signal_fd, phase):
+        self.signal_fd = signal_fd
+        self.phase = phase
+
+    def build(self, ensemble, history, index, **kwargs):
+        if self.phase == "quick":
+            return np.ones(1), None
+        os.write(self.signal_fd, b"k")
+        if self.phase == "build":
+            time.sleep(60.0)
+        return np.ones(KILL_RESULT_BYTES // 8), None
+
+
+class FirstAttemptBlocksRefresher(ProcessGatedRefresher):
+    """The first build anywhere reports on the ``started`` handshake and
+    blocks until its worker is killed; every later build returns the
+    context's replacement at once.  An ``O_EXCL`` marker file decides
+    which build is first, so nothing a later build touches can have
+    been poisoned by the kill."""
+
+    def __init__(self, marker):
+        super().__init__(tag="first")
+        self.marker = marker
+
+    def build(self, ensemble, history, index, generation=None,
+              trigger_index=None, mode="inline", cancel=None):
+        from repro.runtime.pool import worker_context
+        try:
+            os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return self.finish(index, history, trigger_index, mode)
+        worker_context()["started"].put((os.getpid(), self.tag))
+        time.sleep(60.0)
+        raise RuntimeError("the test never killed this build")
+
+
+def _run_catching(pool, refresher):
+    """One ``build_runner`` call; its result, or the exception raised."""
+    try:
+        return pool.build_runner(refresher, None, np.zeros((4, 1)), 0,
+                                 {"trigger_index": 0})
+    except Exception as exc:
+        return exc
+
+
+def _wait_exited(pid, timeout=60.0):
+    """Block until ``pid`` is gone or a zombie (a killed child of this
+    process stays a zombie until its owner reaps it)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.001)
+    raise AssertionError(f"pid {pid} survived SIGKILL")
+
+
 class TestProcessFaults:
     """SIGKILLed workers, orphaned segments and a dead broker.
 
@@ -173,14 +248,11 @@ class TestProcessFaults:
         from repro.runtime import list_segments
         assert list_segments(shm_namespace) == []
 
-    def test_orphan_fails_when_another_thread_respawns_its_worker(
-            self, shm_namespace, mp_handshake):
-        """With two workers, whichever runner thread first sees a dead
-        worker respawns it.  The orphaned job must still fail with
-        WorkerCrashed instead of polling forever: here the kill and the
-        respawn both happen on the test thread while it holds the pool
-        lock, so the orphan's own runner never sees the dead worker."""
-        import os
+    def test_killed_worker_fails_only_its_own_build(self, shm_namespace,
+                                                    mp_handshake):
+        """Two workers run two builds at once and one worker is killed:
+        that build's runner raises WorkerCrashed and the other build
+        completes, because a dead worker breaks only its own pipe."""
         import threading
         from repro.runtime import (ProcessBuildPool, WorkerCrashed,
                                    list_segments)
@@ -190,33 +262,155 @@ class TestProcessFaults:
                                                   wait_started)
 
         pool = ProcessBuildPool(n_workers=2, worker_context=mp_handshake)
-        outcome = {}
+        outcomes = {}
 
-        def run():
+        def run(tag, refresher):
             try:
-                pool.build_runner(ProcessGatedRefresher(),
-                                  fabricate_ensemble(),
-                                  sine_regime(32, seed=1), 10,
-                                  {"trigger_index": 10})
+                outcomes[tag] = pool.build_runner(
+                    refresher, fabricate_ensemble(),
+                    sine_regime(32, seed=1), 10, {"trigger_index": 10})
             except Exception as exc:
-                outcome["error"] = exc
+                outcomes[tag] = exc
 
-        runner = threading.Thread(target=run, daemon=True)
+        runners = {
+            "victim": threading.Thread(
+                target=run, args=("victim", ProcessGatedRefresher()),
+                daemon=True),
+            "survivor": threading.Thread(
+                target=run, args=("survivor", ProcessGatedRefresher(
+                    tag="survivor", gate_key="gate2",
+                    started_key="started2")),
+                daemon=True)}
         try:
-            runner.start()
+            for runner in runners.values():
+                runner.start()
             victim_pid, _ = wait_started(mp_handshake)
-            with pool._lock:
-                victim = next(process for process in pool._workers
-                              if process.pid == victim_pid)
-                os.kill(victim_pid, 9)
-                victim.join(GATE_TIMEOUT)
-                pool._respawn_dead_locked()
-            runner.join(GATE_TIMEOUT)
-            assert not runner.is_alive(), "orphaned build never resolved"
-            assert isinstance(outcome.get("error"), WorkerCrashed)
+            survivor_pid, _ = wait_started(mp_handshake, key="started2")
+            assert victim_pid != survivor_pid
+            os.kill(victim_pid, 9)
+            runners["victim"].join(GATE_TIMEOUT)
+            assert not runners["victim"].is_alive(), (
+                "the killed build never resolved")
+            assert isinstance(outcomes["victim"], WorkerCrashed)
+            assert runners["survivor"].is_alive()
+            mp_handshake["gate2"].set()
+            runners["survivor"].join(GATE_TIMEOUT)
+            assert not runners["survivor"].is_alive()
+            replacement, report = outcomes["survivor"]
+            assert report.trigger_index == 10
+            assert survivor_pid in pool.worker_pids()
+            assert victim_pid not in pool.worker_pids()
         finally:
             pool.shutdown()
+            for runner in runners.values():
+                runner.join(GATE_TIMEOUT)
+        assert list_segments(shm_namespace) == []
+
+    def test_seeded_worker_kills_never_hang_the_pool(self, shm_namespace):
+        """SIGKILL the pool's worker at a seeded point — idle, mid-build
+        or mid-send of a multi-MB result — over many seeds.  No runner
+        hangs; the build fails with WorkerCrashed or completes (the kill
+        landed after the send); the next build completes on a respawned
+        worker, which the pool counts as a build-worker restart."""
+        import random
+        import select
+        import threading
+        from repro import obs
+        from repro.runtime import ProcessBuildPool, WorkerCrashed
+        from tests.test_runtime_processes import GATE_TIMEOUT
+
+        registry = obs.MetricsRegistry()
+        obs.set_default_registry(registry)
+        signal_read, signal_write = os.pipe()
+        pool = ProcessBuildPool(n_workers=1, publish_packs=False)
+
+        def build(phase):
+            outcome = []
+            runner = threading.Thread(target=lambda: outcome.append(
+                _run_catching(pool, KillPointRefresher(signal_write,
+                                                       phase))),
+                daemon=True)
+            runner.start()
+            return runner, outcome
+
+        def resolved(runner, outcome):
             runner.join(GATE_TIMEOUT)
+            assert not runner.is_alive(), f"seed {seed}: runner hung"
+            return outcome[0]
+
+        try:
+            for seed in range(N_KILL_SEEDS):
+                rng = random.Random(seed)
+                phase = ("idle", "build", "send")[seed % 3]
+                victim = pool.worker_pids()[0]
+                if phase == "idle":
+                    os.kill(victim, 9)
+                    runner, outcome = build("quick")
+                else:
+                    runner, outcome = build(phase)
+                    ready, _, _ = select.select([signal_read], [], [],
+                                                GATE_TIMEOUT)
+                    assert ready, f"seed {seed}: build never started"
+                    os.read(signal_read, 1)
+                    time.sleep(rng.uniform(0.0, 0.03 if phase == "send"
+                                           else 0.005))
+                    os.kill(victim, 9)
+                result = resolved(runner, outcome)
+                if phase == "build":
+                    assert isinstance(result, WorkerCrashed), seed
+                elif not isinstance(result, WorkerCrashed):
+                    replacement, _ = result
+                    assert replacement.nbytes == (
+                        KILL_RESULT_BYTES if phase == "send" else 8), seed
+                _wait_exited(victim)
+                replacement, _ = resolved(*build("quick"))
+                assert replacement.nbytes == 8, seed
+                assert victim not in pool.worker_pids(), seed
+            assert registry.counter("repro_restarts_total",
+                                    component="build_worker").value \
+                == N_KILL_SEEDS
+        finally:
+            pool.shutdown()
+            os.close(signal_read)
+            os.close(signal_write)
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_sigkilled_broker_worker_resolves_without_a_watchdog(
+            self, shm_namespace, mp_handshake, tmp_path, max_retries):
+        """With no ``restart=`` nothing outside the broker reaps a killed
+        build worker.  The broker's own pool sees the death at once:
+        the handle fails with WorkerCrashed and the next submit builds on
+        a respawned worker; with a retry budget the same kill ends
+        ``ready``."""
+        from repro.runtime import (BuildBroker, RetryPolicy, WorkerCrashed,
+                                   list_segments)
+        from tests.conftest import fabricate_ensemble, sine_regime
+        from tests.test_runtime_processes import GATE_TIMEOUT, wait_started
+
+        retry = RetryPolicy(max_retries=max_retries, base_delay=0.001) \
+            if max_retries else None
+        broker = BuildBroker(n_ports=1, n_workers=1,
+                             worker_context=mp_handshake, retry=retry)
+        try:
+            client = broker.coordinator(0).client(
+                FirstAttemptBlocksRefresher(str(tmp_path / "first")))
+            ensemble = fabricate_ensemble()
+            history = sine_regime(32, seed=1)
+            handle = client.submit(ensemble, history, 30)
+            victim_pid, _ = wait_started(mp_handshake)
+            os.kill(victim_pid, 9)
+            assert client.join(GATE_TIMEOUT), "the killed build hung"
+            assert client.take() is handle
+            if retry is not None:
+                assert handle.ready
+            else:
+                assert handle.status == "failed"
+                assert isinstance(handle.error, WorkerCrashed)
+                again = client.submit(ensemble, history, 60)
+                assert client.join(GATE_TIMEOUT)
+                assert client.take() is again and again.ready
+        finally:
+            broker.shutdown()
         assert list_segments(shm_namespace) == []
 
     def test_orphaned_segments_unlinked_on_next_attach(self,

@@ -45,7 +45,7 @@ GATE_TIMEOUT = 60.0
 class ProcessGatedRefresher:
     """Slow-trainer stub for build *processes*.
 
-    Instances are pickled through the task queue, so they carry no mp
+    Instances are pickled through the worker's pipe, so they carry no mp
     primitives — inside the worker, ``build`` looks the gate and the
     handshake queue up from the fork-inherited ``worker_context`` by
     name.  The replacement ensemble also comes from the context (fork
@@ -75,12 +75,18 @@ class ProcessGatedRefresher:
                 raise RuntimeError("test gate never opened")
         if context.get("fail"):
             raise RuntimeError("injected build failure")
+        return self.finish(index, history, trigger_index, mode)
+
+    @staticmethod
+    def finish(index, history, trigger_index, mode):
+        """The context's replacement with a zero-cost report."""
+        from repro.runtime.pool import worker_context
         report = RefreshReport(index=int(index),
                                history_length=int(len(history)),
                                train_seconds=0.0, warm_start_fraction=0.0,
                                copied_fraction=0.0,
                                trigger_index=trigger_index, mode=mode)
-        return context["replacement"], report
+        return worker_context()["replacement"], report
 
     def commit(self, report):
         self.n_refreshes += 1
