@@ -30,7 +30,12 @@ the CAE forward pass as plain NumPy over ``(M, N, ...)`` activations:
 * a thread-local workspace recycles every large intermediate buffer, so
   steady-state micro-batch scoring (the :mod:`repro.streaming` hot path,
   where the batch shape repeats every call) performs no large
-  allocations.
+  allocations;
+* the decoder is causal, so scoring only each window's last timestamp
+  (:meth:`FusedEnsembleScorer.score_windows_last`) decodes on the float32
+  fast path just the suffix that column depends on — K-1 columns per
+  causal conv, 11 of 64 columns at K=3 with two GLU decoder layers —
+  while the embedding and encoder (the attention keys) stay full width.
 
 Equivalence contract (enforced by ``tests/test_core_fused.py``): with
 ``dtype=float64`` the fused scores are **bit-identical** to the
@@ -40,8 +45,9 @@ products over the same reduction order as the per-model GEMMs — and
 with ``dtype=float32`` they agree within ``1e-5`` relative tolerance
 (the float32 fast path additionally evaluates the GLU sigmoid as
 ``1 / (1 + exp(-x))`` instead of the slower ``scipy`` ``expit`` kernel,
-identical in exact arithmetic).  Paper-table reproductions are
-therefore unaffected.
+identical in exact arithmetic, and decodes the causal suffix above: BLAS
+may round a column differently in a narrower GEMM, so the float64 path
+keeps full width).  Paper-table reproductions are therefore unaffected.
 
 Weights are copied out of the models when the scorer is built; mutating
 a model's parameters in place afterwards requires rebuilding the scorer
@@ -462,7 +468,8 @@ class FusedEnsembleScorer:
         return workspace
 
     def _im2col(self, x: np.ndarray, pack: _ConvPack, m: int,
-                workspace: _Workspace, key: str) -> np.ndarray:
+                workspace: _Workspace, key: str,
+                width: Optional[int] = None) -> np.ndarray:
         """Unfold ``(M, N, C, L)`` receptive fields into GEMM columns.
 
         The im2col matrix is built straight from the input: kernel offset
@@ -471,11 +478,20 @@ class FusedEnsembleScorer:
         bit-identical to pad-then-unfold, without materialising a padded
         buffer).  With ``pack.folded`` a trailing constant-one row
         multiplies the bias column of the augmented kernels.
+
+        ``width`` keeps only the last ``width`` output columns (default:
+        all of them) by shrinking the left pad.  A causal conv fed a
+        suffix of its input so computes its true outputs, as long as
+        every kept column's receptive field lies inside the suffix
+        (:meth:`_decoder_widths` sizes the suffixes so that it does).
         """
         _, n, c, length = x.shape
         k = pack.kernel_size
         left, right = pack.left, pack.right
         l_out = length + left + right - k + 1
+        if width is not None:
+            left -= l_out - width
+            l_out = width
         rows = c * k + (1 if pack.folded else 0)
         cols = workspace.get(key + ".cols", (m, n, rows, l_out), x.dtype)
         cols5 = cols[:, :, :c * k, :].reshape(m, n, c, k, l_out)
@@ -508,11 +524,13 @@ class FusedEnsembleScorer:
         return out
 
     def _conv(self, x: np.ndarray, pack: _ConvPack, m: int,
-              workspace: _Workspace, key: str) -> np.ndarray:
+              workspace: _Workspace, key: str,
+              width: Optional[int] = None) -> np.ndarray:
         """Batched conv: im2col + one GEMM (cf. :func:`repro.nn.conv.conv1d`).
 
         A kernel-1 unpadded conv (the reconstruction head) skips the
         unfolding entirely — its columns are the input itself.
+        ``width`` is :meth:`_im2col`'s output suffix.
         """
         if pack.kernel_size == 1 and pack.left == 0 and pack.right == 0 \
                 and not pack.folded:
@@ -523,7 +541,7 @@ class FusedEnsembleScorer:
             if pack.bias is not None:
                 out += pack.bias[:m]
             return out
-        cols = self._im2col(x, pack, m, workspace, key)
+        cols = self._im2col(x, pack, m, workspace, key, width)
         return self._gemm(cols, pack, m, workspace, key)
 
     def _sigmoid(self, x: np.ndarray) -> None:
@@ -540,14 +558,16 @@ class FusedEnsembleScorer:
             np.reciprocal(x, out=x)
 
     def _glu(self, x: np.ndarray, block: dict, m: int,
-             workspace: _Workspace, key: str) -> np.ndarray:
+             workspace: _Workspace, key: str,
+             width: Optional[int] = None) -> np.ndarray:
         """Gated linear unit (Eqs. 4-5): ``conv_v(x) * sigmoid(conv_g(x))``.
 
         The value and gate convolutions share one im2col unfolding; their
         two GEMMs write contiguous buffers so the sigmoid and product run
         at full elementwise speed.
         """
-        cols = self._im2col(x, block["glu_v"], m, workspace, key + ".glu")
+        cols = self._im2col(x, block["glu_v"], m, workspace, key + ".glu",
+                            width)
         value = self._gemm(cols, block["glu_v"], m, workspace, key + ".v")
         gate = self._gemm(cols, block["glu_g"], m, workspace, key + ".g")
         self._sigmoid(gate)
@@ -559,17 +579,19 @@ class FusedEnsembleScorer:
                 key: str) -> np.ndarray:
         """Global dot attention (Eq. 7) over channel-first states.
 
-        ``decoder_state``/``encoder_state`` are ``(M, N, C, w)``; returns
-        the updated decoder state in the same (contiguous) layout.
+        ``encoder_state`` is ``(M, N, C, w)``; ``decoder_state`` holds the
+        queries of its last ``q`` columns, ``(M, N, C, q)``.  Returns the
+        updated decoder state in the same (contiguous) layout.
         """
-        _, n, c, w = decoder_state.shape
-        summaries = workspace.get(key + ".z", (m, n, c, w),
+        _, n, c, q = decoder_state.shape
+        w = encoder_state.shape[-1]
+        summaries = workspace.get(key + ".z", (m, n, c, q),
                                   decoder_state.dtype)
         np.matmul(pack.weight[:m], decoder_state, out=summaries)
         if pack.bias is not None:
             summaries += pack.bias[:m]
         # scores[t, t'] = z_t . e_t' — rows are decoder timestamps.
-        scores = workspace.get(key + ".scores", (m, n, w, w),
+        scores = workspace.get(key + ".scores", (m, n, q, w),
                                decoder_state.dtype)
         np.matmul(summaries.transpose(0, 1, 3, 2), encoder_state,
                   out=scores)
@@ -577,7 +599,7 @@ class FusedEnsembleScorer:
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         # c_t = sum_t' alpha_tt' e_t'  ==  E @ alpha^T, channel-first.
-        context = workspace.get(key + ".context", (m, n, c, w),
+        context = workspace.get(key + ".context", (m, n, c, q),
                                 decoder_state.dtype)
         np.matmul(encoder_state, scores.transpose(0, 1, 3, 2), out=context)
         context += decoder_state
@@ -586,14 +608,41 @@ class FusedEnsembleScorer:
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
+    def _decoder_widths(self, first: int) -> List[int]:
+        """Columns each causal decoder stage keeps so that the output
+        covers columns ``first..w-1``.
+
+        The kernel-1 head reads only its own column, and a causal conv of
+        kernel K reads K-1 columns to the left of each output, so walking
+        back from the head every stage's input is K-1 columns wider than
+        its output, clamped at ``w`` (a GLU counts once: its value and
+        gate convs share one unfolding).  Forward order: the decoder
+        input, then the output of each decoder GLU and conv and of the
+        output GLU.  ``first=0`` keeps every stage at full width.
+        """
+        packs = [pack for block in self._decoder
+                 for pack in (block.get("glu_v"), block["conv"])
+                 if pack is not None]
+        if self._output_glu is not None:
+            packs.append(self._output_glu["glu_v"])
+        window = self.config.window
+        widths = [window - first]
+        for pack in reversed(packs):
+            widths.append(min(window, widths[-1] + pack.kernel_size - 1))
+        return widths[::-1]
+
     def _reconstruct(self, windows_cf: np.ndarray, m: int,
-                     workspace: _Workspace
+                     workspace: _Workspace, first: int = 0
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """All models' reconstructions of one window batch.
 
         ``windows_cf`` is the channel-first view ``(1, N, D, w)``;
         returns ``(reconstruction, target)`` as channel-first
-        ``(M, N, out, w)`` / broadcastable target in the compute dtype.
+        ``(M, N, out, w - first)`` / broadcastable full-width target in
+        the compute dtype.  ``first`` is the first reconstructed column:
+        the embedding and the encoder (the attention keys) always run at
+        full width, the causal decoder only on the suffix those columns
+        depend on (:meth:`_decoder_widths`).
         """
         config = self.config
         n = windows_cf.shape[1]
@@ -619,30 +668,43 @@ class FusedEnsembleScorer:
             encoder_states.append(hidden)
             state = hidden
 
-        # Decoder input: embedded window shifted right by one step.
-        shifted = workspace.get("shift", embedded.shape, self.dtype)
-        shifted[..., 0] = 0.0
-        shifted[..., 1:] = embedded[..., :-1]
+        # Decoder input: embedded window shifted right by one step.  A
+        # suffix pass keeps its buffers under their own keys, so the two
+        # entry points interleave without reallocating.
+        widths = iter(self._decoder_widths(first))
+        tag = "last." if first else ""
+        width = next(widths)
+        shifted = workspace.get(tag + "shift",
+                                (m, n, config.embed_dim, width), self.dtype)
+        if width == config.window:
+            shifted[..., 0] = 0.0
+            shifted[..., 1:] = embedded[..., :-1]
+        else:
+            shifted[...] = embedded[..., -width - 1:-1]
         decoder_state = shifted
         for layer, block in enumerate(self._decoder):
-            key = f"dec{layer}"
-            gated = self._glu(decoder_state, block, m, workspace,
-                              key) if "glu_v" in block else decoder_state
-            hidden = self._conv(gated, block["conv"], m, workspace, key)
-            hidden += encoder_states[layer]
+            key = f"{tag}dec{layer}"
+            gated = self._glu(decoder_state, block, m, workspace, key,
+                              next(widths)) \
+                if "glu_v" in block else decoder_state
+            hidden = self._conv(gated, block["conv"], m, workspace, key,
+                                next(widths))
+            width = hidden.shape[-1]
+            hidden += encoder_states[layer][..., -width:]
             np.maximum(hidden, 0.0, out=hidden)
-            hidden += decoder_state
+            hidden += decoder_state[..., -width:]
             decoder_state = hidden
             if config.use_attention:
                 decoder_state = self._attend(
                     decoder_state, encoder_states[layer],
-                    self._attention[layer], m, workspace, f"att{layer}")
+                    self._attention[layer], m, workspace, f"{tag}att{layer}")
 
         final = decoder_state
         if self._output_glu is not None:
-            final = self._glu(final, self._output_glu, m, workspace, "out")
+            final = self._glu(final, self._output_glu, m, workspace,
+                              tag + "out", next(widths))
         reconstructed = self._conv(final, self._reconstruction, m,
-                                   workspace, "recon")
+                                   workspace, tag + "recon")
         if config.reconstruct == "observations":
             target = windows_cf
         else:
@@ -729,12 +791,14 @@ class FusedEnsembleScorer:
         with cls._chunk_tune_lock:
             cls._tuned_chunk_rows = int(rows)
 
-    def _maybe_autotune_chunk(self, windows_cf: np.ndarray, m: int) -> None:
+    def _maybe_autotune_chunk(self, windows_cf: np.ndarray, m: int,
+                              first: int) -> None:
         """First-call chunk-size auto-tune.
 
-        Times one reconstruction chunk at each candidate row count on the
-        actual workload and caches the process-wide winner.  Runs at most
-        once per process, only when the workload is large enough for the
+        Times one reconstruction chunk (from column ``first``, as the
+        calling entry point reconstructs) at each candidate row count on
+        the actual workload and caches the process-wide winner.  Runs at
+        most once per process, only when the workload is large enough for the
         candidates to differ (and for the measurement to be a negligible
         fraction of the call), and never when ``CHUNK_TARGET_ROWS`` has
         been pinned.  Any failure falls back to the 256 default.
@@ -751,7 +815,8 @@ class FusedEnsembleScorer:
                 return
             try:
                 timings = {
-                    rows: self._time_chunk_candidate(windows_cf, m, rows)
+                    rows: self._time_chunk_candidate(windows_cf, m, rows,
+                                                     first)
                     for rows in self._CHUNK_CANDIDATES
                 }
                 best = min(timings, key=timings.get)
@@ -760,17 +825,17 @@ class FusedEnsembleScorer:
             FusedEnsembleScorer._tuned_chunk_rows = best
 
     def _time_chunk_candidate(self, windows_cf: np.ndarray, m: int,
-                              rows: int) -> float:
+                              rows: int, first: int) -> float:
         """Seconds per window for one candidate chunk size, measured on a
         throwaway workspace (the real one keeps its steady-state shapes)."""
         chunk = min(windows_cf.shape[1], max(1, rows // m))
         part = windows_cf[:, :chunk]
         workspace = _Workspace()
-        self._reconstruct(part, m, workspace)        # warm-up: allocations
+        self._reconstruct(part, m, workspace, first)  # warm-up: allocations
         best = float("inf")
         for _ in range(2):
             tick = time.perf_counter()
-            self._reconstruct(part, m, workspace)
+            self._reconstruct(part, m, workspace, first)
             best = min(best, time.perf_counter() - tick)
         return best / chunk
 
@@ -786,7 +851,7 @@ class FusedEnsembleScorer:
         m = self._resolve_models(n_models)
         n = windows_cf.shape[1]
         out = np.empty((n, self.config.window), dtype=np.float64)
-        self._maybe_autotune_chunk(windows_cf, m)
+        self._maybe_autotune_chunk(windows_cf, m, 0)
         chunk = self._chunk_size(m, n)
         workspace = self._workspace
         obs = self._obs
@@ -814,22 +879,30 @@ class FusedEnsembleScorer:
                            n_models: Optional[int] = None) -> np.ndarray:
         """Aggregated score of each window's *last* timestamp, ``(B,)``.
 
-        The streaming micro-batch path: identical to
-        ``window_scores(...)[:, -1]`` but skips the error reduction for
-        the ``w - 1`` timestamps nobody reads.
+        The streaming micro-batch path.  On the float32 fast path the
+        decoder runs only on the causal suffix the last column depends
+        on (``_reconstruct(first=w-1)``), which agrees with
+        ``window_scores(...)[:, -1]`` within ``1e-5`` relative: BLAS may
+        round a column differently in a narrower GEMM.  The float64 exact
+        path reconstructs full width and stays identical to it.  Either
+        way the suffix depends only on the config and each ``(M, N)``
+        slice runs the same GEMM whatever B is, so scoring windows one at
+        a time or coalesced is bit-identical.
         """
         windows_cf = self._prepare_windows(windows)
         m = self._resolve_models(n_models)
         n = windows_cf.shape[1]
         out = np.empty(n, dtype=np.float64)
-        self._maybe_autotune_chunk(windows_cf, m)
+        first = 0 if self._exact else self.config.window - 1
+        self._maybe_autotune_chunk(windows_cf, m, first)
         chunk = self._chunk_size(m, n)
         workspace = self._workspace
         obs = self._obs
         for start in range(0, n, chunk):
             tick = time.perf_counter() if obs.enabled else 0.0
             part = windows_cf[:, start:start + chunk]
-            reconstruction, target = self._reconstruct(part, m, workspace)
+            reconstruction, target = self._reconstruct(part, m, workspace,
+                                                       first)
             last = reconstruction[..., -1]
             target_last = target[..., -1]
             diff = workspace.get("diff.last", last.shape, self.dtype)

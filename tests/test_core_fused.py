@@ -5,7 +5,9 @@ reproduces the per-model scoring loop **bit for bit** (same elementwise
 op order, same GEMM dot products); with float32 (the default inference
 dtype) it agrees within 1e-5 relative tolerance.  The battery covers
 ensemble sizes M in {1, 5, 40}, uni- and multivariate series, every
-architecture toggle, streaming refresh swaps and save/load round-trips.
+architecture toggle, streaming refresh swaps and save/load round-trips,
+plus the causal-suffix ``score_windows_last`` over a grid of windows,
+kernel sizes and depths.
 """
 
 import threading
@@ -18,6 +20,7 @@ from repro.core import (CAEConfig, CAEEnsemble, EnsembleConfig,
 from repro.core.cae import CAE
 from repro.datasets.preprocess import StandardScaler
 from repro.nn import inference_dtype, inference_precision
+from repro.obs import NullRegistry
 from tests.conftest import sine_regime
 
 
@@ -178,6 +181,71 @@ class TestEquivalence:
             np.testing.assert_array_equal(scores, expected)
 
 
+class TestCausalSuffix:
+    """``score_windows_last`` decodes only the causal suffix the last
+    column depends on (float32 fast path); float64 stays full width."""
+
+    @staticmethod
+    def scorers(window, kernel_size, n_layers, use_glu=True,
+                use_attention=True, reconstruct="observations"):
+        config = CAEConfig(input_dim=2, embed_dim=8, window=window,
+                           n_layers=n_layers, kernel_size=kernel_size,
+                           use_glu=use_glu, use_attention=use_attention,
+                           reconstruct=reconstruct)
+        models = [CAE(config, np.random.default_rng(seed))
+                  for seed in range(3)]
+        windows = np.random.default_rng(7).standard_normal((5, window, 2))
+        return {dtype: FusedEnsembleScorer(models, config, dtype=dtype,
+                                           registry=NullRegistry())
+                for dtype in (np.float32, np.float64)}, windows
+
+    @pytest.mark.parametrize("reconstruct", ["observations", "embedding"])
+    @pytest.mark.parametrize("use_attention", [True, False])
+    @pytest.mark.parametrize("use_glu", [True, False])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    @pytest.mark.parametrize("window", [4, 16, 64, 128])
+    def test_matches_full_width(self, window, kernel_size, n_layers,
+                                use_glu, use_attention, reconstruct):
+        scorers, windows = self.scorers(window, kernel_size, n_layers,
+                                        use_glu, use_attention, reconstruct)
+        for dtype, scorer in scorers.items():
+            last = scorer.score_windows_last(windows)
+            full = scorer.window_scores(windows)[:, -1]
+            if dtype is np.float64:
+                np.testing.assert_array_equal(last, full)
+            else:
+                np.testing.assert_allclose(last, full, rtol=1e-5)
+            # Coalescing contract: one window at a time == one batch.
+            single = np.concatenate([
+                scorer.score_windows_last(windows[i:i + 1])
+                for i in range(len(windows))])
+            np.testing.assert_array_equal(single, last)
+
+    def test_suffix_widths(self):
+        scorers, _ = self.scorers(64, 3, 2)
+        scorer = scorers[np.float32]
+        assert scorer._decoder_widths(63) == [11, 9, 7, 5, 3, 1]
+        assert scorer._decoder_widths(0) == [64] * 6
+        # w=4, K=5, L=3: every stage clamps at the window.
+        scorers, _ = self.scorers(4, 5, 3)
+        assert scorers[np.float32]._decoder_widths(3) == [4] * 7 + [1]
+
+    def test_repeated_and_interleaved_calls_allocate_nothing(self):
+        scorers, windows = self.scorers(16, 3, 2)
+        for scorer in scorers.values():
+            last = scorer.score_windows_last(windows)
+            full = scorer.window_scores(windows)
+            workspace = scorer._workspace
+            allocs = workspace.allocs
+            for _ in range(3):
+                np.testing.assert_array_equal(
+                    scorer.score_windows_last(windows), last)
+                np.testing.assert_array_equal(
+                    scorer.window_scores(windows), full)
+            assert workspace.allocs == allocs
+
+
 class TestCacheLifecycle:
     def test_scorer_cached_between_calls(self):
         ensemble = trained_ensemble(2, 2)
@@ -320,9 +388,9 @@ class TestChunkAutotune:
         calls = []
         original = FusedEnsembleScorer._time_chunk_candidate
 
-        def counting(self, windows_cf, m, rows):
+        def counting(self, windows_cf, m, rows, first):
             calls.append(rows)
-            return original(self, windows_cf, m, rows)
+            return original(self, windows_cf, m, rows, first)
 
         monkeypatch.setattr(FusedEnsembleScorer, "_time_chunk_candidate",
                             counting)
@@ -333,6 +401,27 @@ class TestChunkAutotune:
         fresh = fabricated_ensemble(2, 5, seed=1)
         fresh.score(series)                      # other scorers reuse it too
         assert len(calls) == n_first
+
+    def test_tuning_times_the_calling_entry_point(self, monkeypatch):
+        ensemble, series = self.big_ensemble()
+        window = ensemble.cae_config.window
+        firsts = []
+        original = FusedEnsembleScorer._time_chunk_candidate
+
+        def recording(self, windows_cf, m, rows, first):
+            firsts.append(first)
+            return original(self, windows_cf, m, rows, first)
+
+        monkeypatch.setattr(FusedEnsembleScorer, "_time_chunk_candidate",
+                            recording)
+        windows = np.stack([series[i:i + window] for i in range(256)])
+        ensemble.score_windows_last(windows)     # float32: suffix decoder
+        assert firsts == [window - 1] * len(
+            FusedEnsembleScorer._CHUNK_CANDIDATES)
+        FusedEnsembleScorer.reset_chunk_autotune()
+        firsts.clear()
+        ensemble.score(series)                   # full-width window_scores
+        assert firsts == [0] * len(FusedEnsembleScorer._CHUNK_CANDIDATES)
 
     def test_pinned_target_rows_disables_tuning(self, monkeypatch):
         ensemble, series = self.big_ensemble()
@@ -349,7 +438,7 @@ class TestChunkAutotune:
     def test_timing_failure_falls_back_to_default(self, monkeypatch):
         ensemble, series = self.big_ensemble()
 
-        def broken(self, windows_cf, m, rows):
+        def broken(self, windows_cf, m, rows, first):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(FusedEnsembleScorer, "_time_chunk_candidate",

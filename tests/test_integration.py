@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import CAEConfig, CAEEnsemble, EnsembleConfig
 from repro.metrics import accuracy_report, roc_auc
+from repro.nn import inference_precision
 from tests.conftest import make_planted_dataset
 
 
@@ -68,13 +69,18 @@ class TestEndToEndDetection:
 class TestStreamingConsistency:
     def test_streaming_scores_replicate_batch(self, planted,
                                               fitted_ensemble):
-        """Online one-window-at-a-time scoring equals the offline path."""
+        """Online one-window-at-a-time scoring equals the offline path:
+        exactly in float64, within the float32 contract by default."""
         w = fitted_ensemble.cae_config.window
+        with inference_precision(np.float64):
+            exact = fitted_ensemble.score(planted.test)
         batch = fitted_ensemble.score(planted.test)
         for i in range(w - 1, w + 20):
             window = planted.test[i - w + 1:i + 1]
+            with inference_precision(np.float64):
+                assert fitted_ensemble.score_window(window) == exact[i]
             np.testing.assert_allclose(
-                fitted_ensemble.score_window(window), batch[i], rtol=1e-9)
+                fitted_ensemble.score_window(window), batch[i], rtol=1e-5)
 
 
 class TestExperimentCLI:

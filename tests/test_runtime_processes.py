@@ -164,6 +164,27 @@ class TestPackRoundTrip:
             served.close()
             unlink_pack(manifest)
 
+    def test_pack_served_float32_scores_match_ensemble(self, shm_namespace):
+        """The float32 twin: a float32 pack takes the causal-suffix fast
+        path exactly like the local float32 scorer, and stays within the
+        float32 contract of full-width scoring."""
+        ensemble = fabricate_ensemble()
+        windows = sine_regime(80, seed=3).reshape(-1, 8, 2)[:8]
+        scaled = (windows - ensemble.scaler.mean_) / ensemble.scaler.std_
+        local = ensemble.fused_scorer(dtype=np.float32)
+        expected = local.score_windows_last(scaled)
+        manifest = publish_pack(ensemble, dtype=np.float32)
+        served = PackServedEnsemble(attach_pack(manifest))
+        try:
+            assert not served.attached.scorer._exact
+            assert np.array_equal(served.score_windows_last(windows),
+                                  expected)
+            np.testing.assert_allclose(
+                expected, local.window_scores(scaled)[:, -1], rtol=1e-5)
+        finally:
+            served.close()
+            unlink_pack(manifest)
+
     def test_fingerprint_rejects_torn_publish(self, shm_namespace):
         ensemble = fabricate_ensemble()
         manifest = publish_pack(ensemble, dtype=np.float64)
