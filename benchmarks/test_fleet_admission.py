@@ -77,11 +77,7 @@ def make_fitted_ensemble(bench_budget):
         EnsembleConfig(n_models=bench_budget.n_models,
                        epochs_per_model=bench_budget.epochs, seed=0,
                        max_training_windows=bench_budget
-                       .max_training_windows,
-                       # The fused batched trainer cuts the fixture's
-                       # build cost; refresh builds inherit it through
-                       # the config replace in EnsembleRefresher.build.
-                       fused_training=True))
+                       .max_training_windows))
     ensemble.fit(train)
     return ensemble, train
 

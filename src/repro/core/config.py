@@ -74,6 +74,20 @@ class CAEConfig:
             else self.embed_dim
 
 
+def check_legacy_fused_training(value) -> None:
+    """Accept the retired ``fused_training`` switch only as a no-op.
+
+    Every fit runs the fused trainer; the per-module loop it used to
+    select survives only as the test suite's oracle.
+    """
+    if value is not None and value is not True:
+        raise ValueError(
+            f"fused_training={value!r} is not supported: every fit runs "
+            f"the fused trainer, and the per-module loop survives only as "
+            f"the test oracle (ReferenceTrainer in the test suite); pass "
+            f"None or True")
+
+
 @dataclasses.dataclass
 class EnsembleConfig:
     """Training schedule of CAE-Ensemble (Section 3.2 / Algorithm 1).
@@ -116,14 +130,15 @@ class EnsembleConfig:
     # become *more* diverse than independently trained ones (Table 6)
     # while the diversity must not degrade reconstruction (Table 5).
     diversity_saturation: float = 0.5
-    # Train via the fused batched stage trainer (repro.core.fused_training):
-    # same Algorithm 1 objective and RNG stream, one batched GEMM per layer
-    # per step in `fused_training_dtype` precision.  Off by default — the
-    # per-module float64 loop stays the reference semantics.
-    fused_training: bool = False
+    # Compute precision of the fused batched stage trainer
+    # (repro.core.fused_training) that every fit runs.
     fused_training_dtype: str = "float32"
+    # Legacy input: every fit trains fused now, so only None and True are
+    # accepted and nothing is stored (asdict and manifests drop it).
+    fused_training: dataclasses.InitVar[Optional[bool]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, fused_training):
+        check_legacy_fused_training(fused_training)
         if self.n_models < 1:
             raise ValueError(f"n_models must be >= 1, got {self.n_models}")
         if self.epochs_per_model < 1:

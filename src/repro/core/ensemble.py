@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..datasets.preprocess import StandardScaler
 from ..datasets.windows import (sliding_windows,
                                 window_scores_to_observation_scores)
-from ..nn import Adam, Tensor, inference_dtype, no_grad
+from ..nn import Tensor, inference_dtype, no_grad
 from .cae import CAE
 from .config import CAEConfig, EnsembleConfig
-from .diversity import (diversity_driven_loss, diversity_term,
-                        ensemble_diversity, reconstruction_loss)
+from .diversity import ensemble_diversity
 from .fused import FusedEnsembleScorer
 from .fused_training import FusedEnsembleTrainer
 from .transfer import TransferReport, transfer_parameters
@@ -93,9 +92,13 @@ class CAEEnsemble:
     def fit(self, series: np.ndarray, verbose: bool = False,
             warm_start: Optional[Sequence[CAE]] = None,
             warm_start_fraction: Optional[float] = None,
-            cancel=None, fused_training: Optional[bool] = None,
-            reuse_rng: bool = False) -> "CAEEnsemble":
+            cancel=None, reuse_rng: bool = False) -> "CAEEnsemble":
         """Train all basic models on an unlabelled series ``(L, D)``.
+
+        Each basic model trains through the batched stage trainer of
+        :mod:`repro.core.fused_training` (one batched GEMM per layer per
+        step, ``fused_training_dtype`` compute precision), against the
+        frozen mean of the models before it.
 
         ``warm_start`` optionally provides an already-trained generation of
         basic models (same architecture config): basic model ``i`` then
@@ -108,20 +111,12 @@ class CAEEnsemble:
         ``cancel`` is an optional cooperative-cancellation flag (anything
         with ``is_set() -> bool``, e.g. a ``threading.Event``), polled
         before each basic-model fit.  A set flag raises
-        :class:`TrainingCancelled` and rolls the ensemble back to its
-        pre-fit state — the release valve for superseded or abandoned
-        background refresh builds (:mod:`repro.streaming.coordinator`),
-        which would otherwise train all remaining models for a result
-        nobody will serve.
-
-        ``fused_training`` overrides ``config.fused_training``: the
-        batched stage-sequential trainer of
-        :mod:`repro.core.fused_training` (one batched GEMM per layer per
-        step, ``fused_training_dtype`` compute precision) versus the
-        per-module float64 reference loop.  Both paths train the same
-        Algorithm 1 objective over the same batches and draw from the
-        ensemble RNG identically; loss trajectories agree within the
-        tolerance documented in ``docs/performance.md``.
+        :class:`TrainingCancelled` — the release valve for superseded or
+        abandoned background refresh builds
+        (:mod:`repro.streaming.coordinator`), which would otherwise train
+        all remaining models for a result nobody will serve.  Any
+        exception (a cancellation, or a series too short for one window)
+        rolls the ensemble back to its exact pre-fit state.
 
         The ensemble RNG is re-seeded from ``config.seed`` at the top of
         every fit, so repeated ``fit()`` calls on one instance are
@@ -131,16 +126,14 @@ class CAEEnsemble:
         """
         if not reuse_rng:
             self._rng = np.random.default_rng(self.config.seed)
-        use_fused = self.config.fused_training if fused_training is None \
-            else bool(fused_training)
-        trainer = FusedEnsembleTrainer(self.cae_config, self.config) \
-            if use_fused else None
         snapshot = (self.models, self.scaler, self.history,
                     self.transfer_reports, self.train_seconds_,
                     self._fused_scorer)
         start_time = time.perf_counter()
         try:
             windows = self._prepare_training_windows(series)
+            trainer = FusedEnsembleTrainer(self.cae_config, self.config,
+                                           windows)
             self.models = []
             self._fused_scorer = None
             self.history = []
@@ -170,24 +163,19 @@ class CAEEnsemble:
                 frozen_mean = (ensemble_sum / model_index
                                if model_index > 0 and ensemble_sum is not None
                                else None)
-                if trainer is not None:
-                    stage_records, output = trainer.train_model(
-                        model, model_index, windows, frozen_mean,
-                        self._rng, verbose=verbose)
-                    for epoch, loss, j_value, k_value in stage_records:
-                        self.history.append(EpochRecord(
-                            model_index=model_index, epoch=epoch, loss=loss,
-                            reconstruction=j_value, diversity=k_value))
-                else:
-                    self._train_basic_model(model, model_index, windows,
-                                            frozen_mean, verbose=verbose)
-                    output = self._model_output(model, windows)
+                stage_records, output = trainer.train_model(
+                    model, model_index, frozen_mean, self._rng,
+                    verbose=verbose)
+                for epoch, loss, j_value, k_value in stage_records:
+                    self.history.append(EpochRecord(
+                        model_index=model_index, epoch=epoch, loss=loss,
+                        reconstruction=j_value, diversity=k_value))
                 self.models.append(model)
                 ensemble_sum = output if ensemble_sum is None \
                     else ensemble_sum + output
-        except TrainingCancelled:
-            # Restore the exact pre-fit state: a cancelled refit keeps
-            # serving its previous generation, a fresh build stays
+        except BaseException:
+            # Restore the exact pre-fit state: a failed or cancelled refit
+            # keeps serving its previous generation, a fresh build stays
             # unfitted.
             (self.models, self.scaler, self.history, self.transfer_reports,
              self.train_seconds_, self._fused_scorer) = snapshot
@@ -217,68 +205,6 @@ class CAEEnsemble:
             keep = self._rng.choice(windows.shape[0], size=cap, replace=False)
             windows = windows[np.sort(keep)]
         return windows
-
-    def _train_basic_model(self, model: CAE, model_index: int,
-                           windows: np.ndarray,
-                           frozen_ensemble: Optional[np.ndarray],
-                           verbose: bool = False) -> None:
-        optimizer = Adam(model.parameters(), lr=self.config.learning_rate,
-                         grad_clip=self.config.grad_clip)
-        n = windows.shape[0]
-        batch = self.config.batch_size
-        use_diversity = (frozen_ensemble is not None and
-                         self.config.diversity_weight > 0.0)
-        previous_loss: Optional[float] = None
-        stall_count = 0
-        for epoch in range(self.config.epochs_per_model):
-            order = self._rng.permutation(n)
-            epoch_loss = epoch_j = epoch_k = 0.0
-            n_batches = 0
-            for start in range(0, n, batch):
-                index = order[start:start + batch]
-                batch_windows = Tensor(windows[index])
-                optimizer.zero_grad()
-                prediction = model(batch_windows)
-                target = model.reconstruction_target(batch_windows)
-                if use_diversity:
-                    loss = diversity_driven_loss(
-                        prediction, target, frozen_ensemble[index],
-                        self.config.diversity_weight,
-                        saturation=self.config.diversity_saturation)
-                    with no_grad():
-                        k_value = float(diversity_term(
-                            prediction.detach(),
-                            frozen_ensemble[index]).data)
-                else:
-                    loss = reconstruction_loss(prediction, target)
-                    k_value = 0.0
-                loss.backward()
-                optimizer.step()
-                with no_grad():
-                    j_value = float(reconstruction_loss(
-                        prediction.detach(), target).data)
-                epoch_loss += float(loss.data)
-                epoch_j += j_value
-                epoch_k += k_value
-                n_batches += 1
-            record = EpochRecord(model_index=model_index, epoch=epoch,
-                                 loss=epoch_loss / n_batches,
-                                 reconstruction=epoch_j / n_batches,
-                                 diversity=epoch_k / n_batches)
-            self.history.append(record)
-            if verbose:
-                print(f"model {model_index} epoch {epoch}: "
-                      f"loss={record.loss:.5f} J={record.reconstruction:.5f} "
-                      f"K={record.diversity:.5f}")
-            tolerance = self.config.early_stop_tolerance
-            if tolerance is not None and previous_loss is not None:
-                improvement = (previous_loss - record.reconstruction) / \
-                    max(abs(previous_loss), 1e-12)
-                stall_count = stall_count + 1 if improvement < tolerance \
-                    else 0
-                if stall_count >= self.config.early_stop_patience:
-                    break
-            previous_loss = record.reconstruction
 
     def _model_output(self, model: CAE, windows: np.ndarray,
                       batch_size: int = 256) -> np.ndarray:

@@ -1,25 +1,21 @@
 """Fused batched training: Algorithm 1 with one batched GEMM per layer.
 
-The reference training loop (:meth:`CAEEnsemble._train_basic_model`) runs
-each basic model's forward/backward through the per-module autograd path:
-~100 fine-grained graph nodes per step, float64 throughout, plus two extra
-detached forward reductions per batch for the epoch J/K bookkeeping.  The
-paper's sequential diversity objective (model *i* trains against the
-frozen mean of models 0..i−1, Eq. 8 / Figure 8) forbids batching *across*
-models — model i's target does not exist until 0..i−1 finished — so the
-fused trainer keeps the stage structure and instead fuses *within* each
-stage:
+This is the trainer behind every :meth:`CAEEnsemble.fit`.  The paper's
+sequential diversity objective (model *i* trains against the frozen mean
+of models 0..i−1, Eq. 8 / Figure 8) forbids batching *across* models —
+model i's target does not exist until 0..i−1 finished — so the trainer
+keeps the stage structure and instead fuses *within* each stage:
 
 * the stage's parameters live in stacked ``(1, ...)`` leaf tensors (the
   ``(M, ...)`` layout of :mod:`repro.core.fused` with the model axis
   sliced to the one model in training), stepped directly by ``Adam``;
 * every layer is one coarse :mod:`repro.nn.batched` op — a single batched
   GEMM forward and a hand-written VJP backward — so a training step
-  records ~25 graph nodes instead of ~100 and spends its time in BLAS,
-  not the interpreter;
+  records ~25 graph nodes instead of the per-module autograd path's
+  ~100 and spends its time in BLAS, not the interpreter;
 * the whole stage runs in a configurable compute dtype
   (``EnsembleConfig.fused_training_dtype``, default float32 — half the
-  memory traffic of the float64 reference path, same BLAS kernels);
+  memory traffic of float64, same BLAS kernels);
 * the loss, its gradient and the epoch J/K statistics come out of one
   :func:`repro.nn.batched.fused_training_loss` node — no detached
   re-evaluations;
@@ -27,15 +23,16 @@ stage:
   batched forward under ``no_grad`` (chunked, like
   :meth:`CAEEnsemble._model_output`).
 
-Equivalence contract (``tests/test_core_fused_training.py``): the fused
-path consumes the ensemble RNG identically to the reference loop (same
-model-init, transfer and shuffle draws), computes the same objective over
-the same batches, and with ``fused_training_dtype='float64'`` matches the
-reference loss trajectory to ~1e-9 relative; the default float32 path
-agrees within a documented relative tolerance (see
-``docs/performance.md``).  Trained weights are written back to the CAE
-modules in float64, so scoring, checkpointing and parameter transfer are
-unchanged.
+Equivalence contract (``tests/test_core_fused_training.py``): the test
+suite keeps the per-module float64 loop as an oracle,
+``ReferenceTrainer``.  Both consume the ensemble RNG
+identically (same model-init, transfer and shuffle draws) and compute the
+same objective over the same batches; with
+``fused_training_dtype='float64'`` the fused trainer matches the oracle's
+loss trajectory to ~1e-9 relative, and the default float32 path agrees
+within a documented relative tolerance (see ``docs/performance.md``).
+Trained weights are written back to the CAE modules in float64, so
+scoring, checkpointing and parameter transfer are unchanged.
 """
 
 from __future__ import annotations
@@ -59,25 +56,22 @@ StageRecord = Tuple[int, float, float, float]
 class FusedEnsembleTrainer:
     """Stage-sequential fused trainer for one ensemble fit.
 
-    One instance serves one :meth:`CAEEnsemble.fit` call: it caches the
-    channel-first training windows across stages and trains each basic
-    model with the batched-op graph.  The ensemble keeps owning
-    Algorithm 1's sequencing (model creation, parameter transfer, the
-    frozen ensemble mean and cancellation) so the RNG draw order is
-    shared with the reference path by construction.
+    One instance serves one :meth:`CAEEnsemble.fit` call: it takes the
+    fit's training windows once, in channel-first compute-dtype layout,
+    and trains each basic model with the batched-op graph.  The ensemble
+    keeps owning Algorithm 1's sequencing (model creation, parameter
+    transfer, the frozen ensemble mean and cancellation) so the RNG draw
+    order is shared with the test oracle by construction.
     """
 
     def __init__(self, cae_config: CAEConfig, ensemble_config: EnsembleConfig,
-                 dtype=None):
+                 windows: np.ndarray):
         self.cae_config = cae_config
         self.config = ensemble_config
-        self.dtype = np.dtype(ensemble_config.fused_training_dtype
-                              if dtype is None else dtype)
-        if self.dtype.kind != "f":
-            raise ValueError(f"compute dtype must be floating, "
-                             f"got {self.dtype}")
-        self._windows_key: Optional[int] = None
-        self._windows_cf: Optional[np.ndarray] = None
+        self.dtype = np.dtype(ensemble_config.fused_training_dtype)
+        # (D, N, w) contiguous compute-dtype copy of the training windows.
+        self._windows_cf = np.ascontiguousarray(windows.transpose(2, 0, 1),
+                                                dtype=self.dtype)
         # Normalised position inputs (w, 1), as InputEmbedding builds them.
         w = cae_config.window
         self._position_base = Tensor(
@@ -194,15 +188,7 @@ class FusedEnsembleTrainer:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _windows_channel_first(self, windows: np.ndarray) -> np.ndarray:
-        """``(D, N, w)`` contiguous compute-dtype copy, cached per fit."""
-        if self._windows_key != id(windows) or self._windows_cf is None:
-            self._windows_cf = np.ascontiguousarray(
-                windows.transpose(2, 0, 1), dtype=self.dtype)
-            self._windows_key = id(windows)
-        return self._windows_cf
-
-    def train_model(self, model: CAE, model_index: int, windows: np.ndarray,
+    def train_model(self, model: CAE, model_index: int,
                     frozen_ensemble: Optional[np.ndarray],
                     rng: np.random.Generator, verbose: bool = False
                     ) -> Tuple[List[StageRecord], np.ndarray]:
@@ -211,13 +197,14 @@ class FusedEnsembleTrainer:
 
         ``rng`` is the ensemble's generator; exactly one
         ``permutation(n)`` is drawn per epoch — the same consumption as
-        the reference loop, keeping both paths' downstream draws aligned.
+        the per-module test oracle, keeping both paths' downstream draws
+        aligned.
         """
         config = self.config
         leaves = self._pack_leaves(model)
         optimizer = Adam(leaves.values(), lr=config.learning_rate,
                          grad_clip=config.grad_clip)
-        windows_cf = self._windows_channel_first(windows)
+        windows_cf = self._windows_cf
         n = windows_cf.shape[1]
         batch = config.batch_size
         use_diversity = (frozen_ensemble is not None and

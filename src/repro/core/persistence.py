@@ -317,7 +317,11 @@ def load_ensemble(directory: str) -> CAEEnsemble:
                          f"{manifest.get('format_version')!r}")
 
     cae_config = CAEConfig(**manifest["cae_config"])
-    ensemble_config = EnsembleConfig(**manifest["ensemble_config"])
+    config_fields = dict(manifest["ensemble_config"])
+    # Retired switch: v1/v2 manifests store it (as false); every fit now
+    # trains fused, so the key carries nothing.
+    config_fields.pop("fused_training", None)
+    ensemble_config = EnsembleConfig(**config_fields)
     ensemble = CAEEnsemble(cae_config, ensemble_config)
     ensemble.train_seconds_ = float(manifest.get("train_seconds", 0.0))
 

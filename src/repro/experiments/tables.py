@@ -245,6 +245,26 @@ def sequential_depth_per_window(model_name: str, window: int,
     return 2 * n_layers + 2
 
 
+def _best_fit_seconds(detector, series: np.ndarray) -> float:
+    """Best wall-clock of up to three ``detector.fit(series)`` calls.
+
+    Every fit is seeded identically, so refitting changes nothing but the
+    timing.  Short fits repeat until 2 s of fitting has run, so neither
+    one scheduler stall on a shared host nor the BLAS thread pool's first
+    start in the process can swing the ensemble/basic ratios; a fit
+    longer than that runs once.
+    """
+    best, spent = float("inf"), 0.0
+    for _ in range(3):
+        start = time.perf_counter()
+        detector.fit(series)
+        elapsed = time.perf_counter() - start
+        best, spent = min(best, elapsed), spent + elapsed
+        if spent >= 2.0:
+            break
+    return best
+
+
 def table_7(budget: Budget = STANDARD, seed: int = 0,
             datasets: Sequence[str] = ("ecg", "msl", "smap", "smd", "wadi"),
             early_stop_tolerance: float = 0.05,
@@ -253,7 +273,8 @@ def table_7(budget: Budget = STANDARD, seed: int = 0,
 
     Three quantities are reported per (model, dataset):
 
-    * wall-clock seconds — hardware-specific; on the authors' GPUs the
+    * wall-clock seconds (best of repeated short fits, see
+      :func:`_best_fit_seconds`) — hardware-specific; on the authors' GPUs the
       convolutional family wins because all window positions run in
       parallel.  Single-threaded NumPy cannot express that parallelism, so
       absolute CPU times do NOT reproduce the paper's CAE < RAE ordering
@@ -312,9 +333,8 @@ def table_7(budget: Budget = STANDARD, seed: int = 0,
             if progress:
                 progress(f"{model_name} on {dataset_name}")
             detector = detectors[model_name]
-            start = time.perf_counter()
-            detector.fit(dataset.train)
-            times[model_name][dataset_name] = time.perf_counter() - start
+            times[model_name][dataset_name] = _best_fit_seconds(
+                detector, dataset.train)
             depths[model_name][dataset_name] = sequential_depth_per_window(
                 model_name, window, budget.n_layers)
             if model_name in ("CAE", "CAE-Ensemble"):

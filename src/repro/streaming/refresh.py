@@ -34,6 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..core.config import check_legacy_fused_training
 from ..core.ensemble import CAEEnsemble
 from ..obs import trace
 from .buffer import (DecayedReservoirBuffer, HistoryBuffer, ReservoirBuffer)
@@ -99,12 +100,9 @@ class EnsembleRefresher:
                          ensemble config's transfer β).
     epochs_per_model:    training budget per basic model for refreshes
                          (default: same as the original fit).
-    fused_training:      force the fused batched trainer on (True) or off
-                         (False) for refresh builds; the default None
-                         inherits the serving ensemble's
-                         ``config.fused_training``.  Background rebuilds
-                         are the latency-sensitive training path — see
-                         ``docs/performance.md``.
+    fused_training:      legacy input, kept so older callers construct:
+                         every build trains fused, so only None and True
+                         are accepted and nothing is stored.
     corpus:              sampling scheme of the retraining corpus the
                          engine maintains for this refresher — ``"ring"``
                          (most recent history), ``"reservoir"`` (uniform
@@ -164,14 +162,11 @@ class EnsembleRefresher:
         if corpus_block is not None and corpus_block < 1:
             raise ValueError(f"corpus_block must be >= 1, "
                              f"got {corpus_block}")
-        if fused_training is not None and not isinstance(fused_training, bool):
-            raise ValueError(f"fused_training must be a bool or None, "
-                             f"got {fused_training!r}")
+        check_legacy_fused_training(fused_training)
         self.min_history = min_history
         self.cooldown = cooldown
         self.warm_start_fraction = warm_start_fraction
         self.epochs_per_model = epochs_per_model
-        self.fused_training = fused_training
         self.corpus = corpus
         self.corpus_block = corpus_block
         self.corpus_seed = corpus_seed
@@ -253,8 +248,6 @@ class EnsembleRefresher:
         overrides = {"seed": ensemble.config.seed + generation + 1}
         if self.epochs_per_model is not None:
             overrides["epochs_per_model"] = self.epochs_per_model
-        if self.fused_training is not None:
-            overrides["fused_training"] = self.fused_training
         config = dataclasses.replace(ensemble.config, **overrides)
         replacement = CAEEnsemble(ensemble.cae_config, config)
         replacement.fit(history, warm_start=ensemble.models,

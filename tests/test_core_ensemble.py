@@ -230,7 +230,8 @@ class TestRefitDeterminism:
 
 
 class TestCancellationRollback:
-    """A cancelled fit must leave the ensemble in its exact pre-fit state."""
+    """A cancelled or failed fit must leave the ensemble in its exact
+    pre-fit state."""
 
     def test_fresh_instance_stays_unfitted(self, small_series):
         from repro.core.ensemble import TrainingCancelled
@@ -263,11 +264,15 @@ class TestCancellationRollback:
         np.testing.assert_array_equal(ensemble.score(small_series),
                                       old_scores)
 
-    def test_rollback_under_fused_training(self, small_series):
-        from repro.core.ensemble import TrainingCancelled
-        ensemble = quick_ensemble(fused_training=True).fit(small_series)
+    def test_failed_refit_keeps_serving_old_generation(self, small_series):
+        # sliding_windows raises only after the scaler was refitted on the
+        # short series, so the rollback must cover any exception.
+        ensemble = quick_ensemble().fit(small_series[:300])
+        old_models, old_scaler = ensemble.models, ensemble.scaler
         old_scores = ensemble.score(small_series)
-        with pytest.raises(TrainingCancelled):
-            ensemble.fit(small_series + 0.5, cancel=CancelAfterPolls(1))
+        with pytest.raises(ValueError):
+            ensemble.fit(small_series[:5])
+        assert ensemble.models is old_models
+        assert ensemble.scaler is old_scaler
         np.testing.assert_array_equal(ensemble.score(small_series),
                                       old_scores)
