@@ -303,11 +303,26 @@ class CAEEnsemble:
     def score(self, series: np.ndarray,
               n_models: Optional[int] = None,
               fused: Optional[bool] = None) -> np.ndarray:
-        """One outlier score per observation of ``series`` (length L)."""
-        aggregated = self.window_scores(series, n_models=n_models,
-                                        fused=fused)
-        return window_scores_to_observation_scores(aggregated,
-                                                   self.cae_config.window)
+        """One outlier score per observation of ``series`` (length L).
+
+        Figure 10 keeps the first window's full score row and only the
+        last entry of every later window, so the fused path scores the
+        head window at full width and the tail through
+        :meth:`score_windows_last`'s causal-suffix decoder: float32
+        ``score(series)[i]`` equals the online score for ``i >= w``.
+        """
+        if not self._use_fused(fused):
+            aggregated = self.window_scores(series, n_models=n_models,
+                                            fused=False)
+            return window_scores_to_observation_scores(
+                aggregated, self.cae_config.window)
+        self._require_fitted()
+        windows = sliding_windows(self._transform(series),
+                                  self.cae_config.window)
+        scorer = self.fused_scorer()
+        head = scorer.window_scores(windows[:1], n_models=n_models)[0]
+        tail = scorer.score_windows_last(windows[1:], n_models=n_models)
+        return np.concatenate([head, tail])
 
     def score_window(self, window: np.ndarray,
                      fused: Optional[bool] = None) -> float:

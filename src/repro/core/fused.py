@@ -36,6 +36,8 @@ the CAE forward pass as plain NumPy over ``(M, N, ...)`` activations:
   fast path just the suffix that column depends on — K-1 columns per
   causal conv, 11 of 64 columns at K=3 with two GLU decoder layers —
   while the embedding and encoder (the attention keys) stay full width.
+  Streaming uses it, and so does batch ``CAEEnsemble.score`` for every
+  window after the first (Figure 10 keeps only their last column).
 
 Equivalence contract (enforced by ``tests/test_core_fused.py``): with
 ``dtype=float64`` the fused scores are **bit-identical** to the
@@ -746,7 +748,7 @@ class FusedEnsembleScorer:
         full-series scoring, where N can be the series length.
         """
         chunk = max(1, self._target_rows() // m)
-        return min(n, chunk)
+        return max(1, min(n, chunk))     # >= 1: an empty batch loops 0 times
 
     # The fused working set scales with M x chunk; ~256 model-window rows
     # keeps the largest buffers around a few MB (L2/L3-resident) for
@@ -879,7 +881,8 @@ class FusedEnsembleScorer:
                            n_models: Optional[int] = None) -> np.ndarray:
         """Aggregated score of each window's *last* timestamp, ``(B,)``.
 
-        The streaming micro-batch path.  On the float32 fast path the
+        The streaming micro-batch path, and the tail of batch
+        ``CAEEnsemble.score``.  On the float32 fast path the
         decoder runs only on the causal suffix the last column depends
         on (``_reconstruct(first=w-1)``), which agrees with
         ``window_scores(...)[:, -1]`` within ``1e-5`` relative: BLAS may

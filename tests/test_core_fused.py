@@ -7,7 +7,8 @@ dtype) it agrees within 1e-5 relative tolerance.  The battery covers
 ensemble sizes M in {1, 5, 40}, uni- and multivariate series, every
 architecture toggle, streaming refresh swaps and save/load round-trips,
 plus the causal-suffix ``score_windows_last`` over a grid of windows,
-kernel sizes and depths.
+kernel sizes and depths, and batch ``score``, which decodes every window
+after the first through it.
 """
 
 import threading
@@ -19,6 +20,7 @@ from repro.core import (CAEConfig, CAEEnsemble, EnsembleConfig,
                         FusedEnsembleScorer, load_ensemble, save_ensemble)
 from repro.core.cae import CAE
 from repro.datasets.preprocess import StandardScaler
+from repro.datasets.windows import window_scores_to_observation_scores
 from repro.nn import inference_dtype, inference_precision
 from repro.obs import NullRegistry
 from tests.conftest import sine_regime
@@ -128,6 +130,13 @@ class TestEquivalence:
             fused = ensemble.window_scores(series, n_models=n_models,
                                            fused=True)
         np.testing.assert_array_equal(fused, loop)
+        # Batch score slices both its head and its suffix-decoded tail.
+        loop = ensemble.score(series, n_models=n_models, fused=False)
+        with inference_precision(np.float64):
+            np.testing.assert_array_equal(
+                ensemble.score(series, n_models=n_models), loop)
+        np.testing.assert_allclose(ensemble.score(series, n_models=n_models),
+                                   loop, rtol=1e-5)
 
     def test_chunk_boundaries_are_invisible(self, monkeypatch):
         """Chunked and single-pass fused scoring are bit-identical —
@@ -244,6 +253,54 @@ class TestCausalSuffix:
                 np.testing.assert_array_equal(
                     scorer.window_scores(windows), full)
             assert workspace.allocs == allocs
+
+
+class TestBatchScore:
+    """``score`` decodes the head window at full width and every later
+    window through the suffix decoder (Figure 10 keeps only their last
+    column)."""
+
+    def test_float32_matches_full_width_mapping(self):
+        ensemble = trained_ensemble(2, 5)
+        series = make_series(2, seed=9)
+        full = window_scores_to_observation_scores(
+            ensemble.window_scores(series), ensemble.cae_config.window)
+        np.testing.assert_allclose(ensemble.score(series), full, rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_single_window_series(self, dtype):
+        ensemble = trained_ensemble(2, 3)
+        series = make_series(2, length=ensemble.cae_config.window, seed=9)
+        with inference_precision(dtype):
+            scores = ensemble.score(series)
+            np.testing.assert_array_equal(
+                scores, ensemble.window_scores(series)[0])
+        assert scores.shape == (ensemble.cae_config.window,)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tiny_chunks_match_single_pass(self, monkeypatch, dtype):
+        ensemble = trained_ensemble(2, 3)
+        series = make_series(2, seed=9)
+        with inference_precision(dtype):
+            monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS",
+                                10 ** 6)
+            one_pass = ensemble.score(series)
+            monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS", 5)
+            np.testing.assert_array_equal(ensemble.score(series), one_pass)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_batches(self, dtype):
+        ensemble = trained_ensemble(2, 2)
+        window = ensemble.cae_config.window
+        empty = np.empty((0, window, 2))
+        with inference_precision(dtype):
+            scorer = ensemble.fused_scorer()
+            full = scorer.window_scores(empty)
+            last = scorer.score_windows_last(empty)
+            online = ensemble.score_windows_last(empty)
+        assert full.shape == (0, window) and full.dtype == np.float64
+        assert last.shape == (0,) and last.dtype == np.float64
+        assert online.shape == (0,) and online.dtype == np.float64
 
 
 class TestCacheLifecycle:
@@ -420,8 +477,13 @@ class TestChunkAutotune:
             FusedEnsembleScorer._CHUNK_CANDIDATES)
         FusedEnsembleScorer.reset_chunk_autotune()
         firsts.clear()
-        ensemble.score(series)                   # full-width window_scores
+        ensemble.window_scores(series)           # full width
         assert firsts == [0] * len(FusedEnsembleScorer._CHUNK_CANDIDATES)
+        FusedEnsembleScorer.reset_chunk_autotune()
+        firsts.clear()
+        ensemble.score(series)                   # tail: suffix decoder
+        assert firsts == [window - 1] * len(
+            FusedEnsembleScorer._CHUNK_CANDIDATES)
 
     def test_pinned_target_rows_disables_tuning(self, monkeypatch):
         ensemble, series = self.big_ensemble()
