@@ -21,17 +21,6 @@ BENCH = Budget(name="bench", dataset_scale=0.2, epochs=2, n_models=2,
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
 
-@pytest.fixture(autouse=True)
-def _cold_chunk_autotune():
-    """Benchmarks measure the fused chunk loop: every test starts with a
-    cold autotune cache and leaves it cold, so timings never depend on
-    the chunk size some earlier test's workload happened to tune."""
-    from repro.core.fused import FusedEnsembleScorer
-    FusedEnsembleScorer.reset_chunk_autotune()
-    yield
-    FusedEnsembleScorer.reset_chunk_autotune()
-
-
 @pytest.fixture(scope="session")
 def artifact_dir():
     os.makedirs(OUTPUT_DIR, exist_ok=True)

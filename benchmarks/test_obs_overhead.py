@@ -28,32 +28,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import (CAEConfig, CAEEnsemble, EnsembleConfig,
-                        FusedEnsembleScorer)
+from repro.core import CAEConfig, CAEEnsemble, EnsembleConfig
 from repro.core.cae import CAE
 from repro.datasets.preprocess import StandardScaler
 from repro.obs import MetricsRegistry, NullRegistry, use_registry
 from repro.streaming import StreamingDetector
 
 pytestmark = pytest.mark.slow
-
-
-@pytest.fixture(autouse=True)
-def pinned_chunk_geometry():
-    """Pin the fused chunk size for the whole measurement.
-
-    The enabled/disabled comparison counts guards *per chunk*, so the
-    chunk geometry must be identical across every replay — and must not
-    inherit whatever an earlier test's autotune probe cached for this
-    machine.  The conftest hygiene fixture guarantees the cache starts
-    cold; assert that contract, then pin explicitly.
-    """
-    assert FusedEnsembleScorer._tuned_chunk_rows is None, (
-        "autotune cache not cold at bench start — a conftest hygiene "
-        "fixture is missing or broken")
-    FusedEnsembleScorer.pin_chunk_rows(FusedEnsembleScorer.CHUNK_TARGET_ROWS)
-    yield
-    FusedEnsembleScorer.reset_chunk_autotune()
 
 WINDOW = 16
 DIMS = 3

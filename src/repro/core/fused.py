@@ -31,6 +31,9 @@ the CAE forward pass as plain NumPy over ``(M, N, ...)`` activations:
   steady-state micro-batch scoring (the :mod:`repro.streaming` hot path,
   where the batch shape repeats every call) performs no large
   allocations;
+* a batch is scored in chunks of a fixed ``CHUNK_TARGET_ROWS`` (128)
+  model-window rows, so the working set stays cache-resident whatever
+  N is; windows are independent, so chunking never changes a score;
 * the decoder is causal, so scoring only each window's last timestamp
   (:meth:`FusedEnsembleScorer.score_windows_last`) decodes on the float32
   fast path just the suffix that column depends on — K-1 columns per
@@ -738,6 +741,19 @@ class FusedEnsembleScorer:
             aggregated = errors.mean(axis=0)
         return np.asarray(aggregated, dtype=np.float64)
 
+    # The fused working set scales with M x chunk: ~128 model-window rows
+    # keeps the largest buffers a few MB (cache-resident) for paper-sized
+    # architectures.  128, 256 and 512 rows score within host noise of
+    # each other (docs/performance.md), so the target is one constant.
+    CHUNK_TARGET_ROWS = 128
+
+    @classmethod
+    def pin_chunk_rows(cls, rows: int) -> None:
+        """Set the process-wide chunk target ``CHUNK_TARGET_ROWS``."""
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
+        cls.CHUNK_TARGET_ROWS = int(rows)
+
     def _chunk_size(self, m: int, n: int) -> int:
         """Windows per fused pass.
 
@@ -747,99 +763,47 @@ class FusedEnsembleScorer:
         than one huge pass at M=40, B=64) and caps workspace memory for
         full-series scoring, where N can be the series length.
         """
-        chunk = max(1, self._target_rows() // m)
+        chunk = max(1, self.CHUNK_TARGET_ROWS // m)
         return max(1, min(n, chunk))     # >= 1: an empty batch loops 0 times
 
-    # The fused working set scales with M x chunk; ~256 model-window rows
-    # keeps the largest buffers around a few MB (L2/L3-resident) for
-    # paper-sized architectures; +/-2x around it costs ~10%.  256 is the
-    # fallback when auto-tuning is unavailable; assigning a different
-    # value (class or instance) pins the chunk size and disables tuning.
-    CHUNK_TARGET_ROWS = 256
+    def _score_chunks(self, windows: np.ndarray, n_models: Optional[int],
+                      first: int, last: bool) -> np.ndarray:
+        """The chunk loop behind both public entry points.
 
-    # Auto-tune state, shared process-wide: the cache hierarchy the chunk
-    # size adapts to is a property of the machine, not of one scorer.
-    _DEFAULT_CHUNK_ROWS = 256
-    _CHUNK_CANDIDATES = (128, 256, 512)
-    _tuned_chunk_rows: Optional[int] = None
-    _chunk_tune_lock = threading.Lock()
-
-    def _target_rows(self) -> int:
-        """The effective chunk target: an explicitly pinned
-        ``CHUNK_TARGET_ROWS`` wins, then the machine's auto-tuned value,
-        then the 256 default."""
-        if self.CHUNK_TARGET_ROWS != self._DEFAULT_CHUNK_ROWS:
-            return self.CHUNK_TARGET_ROWS
-        tuned = FusedEnsembleScorer._tuned_chunk_rows
-        return tuned if tuned is not None else self.CHUNK_TARGET_ROWS
-
-    @classmethod
-    def reset_chunk_autotune(cls) -> None:
-        """Forget the auto-tuned chunk size (next eligible score re-tunes)."""
-        with cls._chunk_tune_lock:
-            cls._tuned_chunk_rows = None
-
-    @classmethod
-    def pin_chunk_rows(cls, rows: int) -> None:
-        """Pin the process-wide chunk target and disable auto-tuning.
-
-        Benchmarks pin an explicit value so their measurements cannot
-        depend on whatever chunk size an earlier test happened to tune
-        (the tuned value is process-global); pair with
-        :meth:`reset_chunk_autotune` to restore tuning afterwards.
+        Reconstructs from column ``first`` (:meth:`_reconstruct`) and
+        scores every column, ``(N, w)``, or with ``last`` only each
+        window's last one, ``(N,)``.
         """
-        if rows < 1:
-            raise ValueError(f"rows must be >= 1, got {rows}")
-        with cls._chunk_tune_lock:
-            cls._tuned_chunk_rows = int(rows)
-
-    def _maybe_autotune_chunk(self, windows_cf: np.ndarray, m: int,
-                              first: int) -> None:
-        """First-call chunk-size auto-tune.
-
-        Times one reconstruction chunk (from column ``first``, as the
-        calling entry point reconstructs) at each candidate row count on
-        the actual workload and caches the process-wide winner.  Runs at
-        most once per process, only when the workload is large enough for the
-        candidates to differ (and for the measurement to be a negligible
-        fraction of the call), and never when ``CHUNK_TARGET_ROWS`` has
-        been pinned.  Any failure falls back to the 256 default.
-        """
-        if self.CHUNK_TARGET_ROWS != self._DEFAULT_CHUNK_ROWS:
-            return
-        if FusedEnsembleScorer._tuned_chunk_rows is not None:
-            return
+        windows_cf = self._prepare_windows(windows)
+        m = self._resolve_models(n_models)
         n = windows_cf.shape[1]
-        if m * n < 2 * max(self._CHUNK_CANDIDATES):
-            return
-        with FusedEnsembleScorer._chunk_tune_lock:
-            if FusedEnsembleScorer._tuned_chunk_rows is not None:
-                return
-            try:
-                timings = {
-                    rows: self._time_chunk_candidate(windows_cf, m, rows,
-                                                     first)
-                    for rows in self._CHUNK_CANDIDATES
-                }
-                best = min(timings, key=timings.get)
-            except Exception:
-                best = self._DEFAULT_CHUNK_ROWS
-            FusedEnsembleScorer._tuned_chunk_rows = best
-
-    def _time_chunk_candidate(self, windows_cf: np.ndarray, m: int,
-                              rows: int, first: int) -> float:
-        """Seconds per window for one candidate chunk size, measured on a
-        throwaway workspace (the real one keeps its steady-state shapes)."""
-        chunk = min(windows_cf.shape[1], max(1, rows // m))
-        part = windows_cf[:, :chunk]
-        workspace = _Workspace()
-        self._reconstruct(part, m, workspace, first)  # warm-up: allocations
-        best = float("inf")
-        for _ in range(2):
-            tick = time.perf_counter()
-            self._reconstruct(part, m, workspace, first)
-            best = min(best, time.perf_counter() - tick)
-        return best / chunk
+        cols = 1 if last else self.config.window
+        out = np.empty((n, cols), dtype=np.float64)
+        chunk = self._chunk_size(m, n)
+        workspace = self._workspace
+        obs = self._obs
+        key = "diff.last" if last else "diff"
+        for start in range(0, n, chunk):
+            tick = time.perf_counter() if obs.enabled else 0.0
+            part = windows_cf[:, start:start + chunk]
+            reconstruction, target = self._reconstruct(part, m, workspace,
+                                                       first)
+            # Errors reduce over the feature axis in (.., w, D) layout —
+            # the same contiguous last-axis reduction (and therefore the
+            # same summation order) as the per-model loop.
+            reconstruction = reconstruction[..., -cols:]
+            mm, nn, c, _ = reconstruction.shape
+            diff = workspace.get(key, (mm, nn, cols, c), self.dtype)
+            np.subtract(reconstruction.transpose(0, 1, 3, 2),
+                        target[..., -cols:].transpose(0, 1, 3, 2), out=diff)
+            diff *= diff
+            out[start:start + chunk] = self._aggregate(diff.sum(axis=-1))
+            if obs.enabled:
+                obs.chunk_seconds.observe(time.perf_counter() - tick)
+        if obs.enabled:
+            obs.windows.inc(n)
+            obs.flush_workspace(workspace)
+        return out[:, 0] if last else out
 
     def window_scores(self, windows: np.ndarray,
                       n_models: Optional[int] = None) -> np.ndarray:
@@ -849,33 +813,7 @@ class FusedEnsembleScorer:
         views from :func:`repro.datasets.windows.sliding_windows` are
         consumed without copying.
         """
-        windows_cf = self._prepare_windows(windows)
-        m = self._resolve_models(n_models)
-        n = windows_cf.shape[1]
-        out = np.empty((n, self.config.window), dtype=np.float64)
-        self._maybe_autotune_chunk(windows_cf, m, 0)
-        chunk = self._chunk_size(m, n)
-        workspace = self._workspace
-        obs = self._obs
-        for start in range(0, n, chunk):
-            tick = time.perf_counter() if obs.enabled else 0.0
-            part = windows_cf[:, start:start + chunk]
-            reconstruction, target = self._reconstruct(part, m, workspace)
-            # Errors reduce over the feature axis in (.., w, D) layout —
-            # the same contiguous last-axis reduction (and therefore the
-            # same summation order) as the per-model loop.
-            mm, nn, c, w = reconstruction.shape
-            diff = workspace.get("diff", (mm, nn, w, c), self.dtype)
-            np.subtract(reconstruction.transpose(0, 1, 3, 2),
-                        target.transpose(0, 1, 3, 2), out=diff)
-            diff *= diff
-            out[start:start + chunk] = self._aggregate(diff.sum(axis=-1))
-            if obs.enabled:
-                obs.chunk_seconds.observe(time.perf_counter() - tick)
-        if obs.enabled:
-            obs.windows.inc(n)
-            obs.flush_workspace(workspace)
-        return out
+        return self._score_chunks(windows, n_models, first=0, last=False)
 
     def score_windows_last(self, windows: np.ndarray,
                            n_models: Optional[int] = None) -> np.ndarray:
@@ -892,32 +830,8 @@ class FusedEnsembleScorer:
         slice runs the same GEMM whatever B is, so scoring windows one at
         a time or coalesced is bit-identical.
         """
-        windows_cf = self._prepare_windows(windows)
-        m = self._resolve_models(n_models)
-        n = windows_cf.shape[1]
-        out = np.empty(n, dtype=np.float64)
         first = 0 if self._exact else self.config.window - 1
-        self._maybe_autotune_chunk(windows_cf, m, first)
-        chunk = self._chunk_size(m, n)
-        workspace = self._workspace
-        obs = self._obs
-        for start in range(0, n, chunk):
-            tick = time.perf_counter() if obs.enabled else 0.0
-            part = windows_cf[:, start:start + chunk]
-            reconstruction, target = self._reconstruct(part, m, workspace,
-                                                       first)
-            last = reconstruction[..., -1]
-            target_last = target[..., -1]
-            diff = workspace.get("diff.last", last.shape, self.dtype)
-            np.subtract(last, target_last, out=diff)
-            diff *= diff
-            out[start:start + chunk] = self._aggregate(diff.sum(axis=-1))
-            if obs.enabled:
-                obs.chunk_seconds.observe(time.perf_counter() - tick)
-        if obs.enabled:
-            obs.windows.inc(n)
-            obs.flush_workspace(workspace)
-        return out
+        return self._score_chunks(windows, n_models, first=first, last=True)
 
     def matches(self, models: Sequence) -> bool:
         """Whether this scorer was packed from exactly these model

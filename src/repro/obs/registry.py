@@ -203,27 +203,8 @@ class Histogram:
             low, high = self._min, self._max
         if total == 0:
             return None
-        rank = q * total
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                fraction = (rank - cumulative) / bucket_count
-                if index >= len(self.edges):        # overflow bucket
-                    estimate = high
-                else:
-                    upper = self.edges[index]
-                    lower = self.edges[index - 1] if index > 0 \
-                        else upper / (self.edges[1] / self.edges[0]) \
-                        if len(self.edges) > 1 else upper
-                    if lower <= 0:
-                        estimate = upper * fraction
-                    else:
-                        estimate = lower * (upper / lower) ** fraction
-                return min(max(estimate, low), high)
-            cumulative += bucket_count
-        return high
+        return _bucket_quantile(q, self.edges, counts[:-1], counts[-1],
+                                total, low, high)
 
     def percentiles(self) -> dict:
         """``{"p50": ..., "p95": ..., "p99": ...}`` (``None`` if empty)."""
@@ -433,9 +414,15 @@ def use_registry(registry):
         set_default_registry(previous)
 
 
-def _merged_quantile(q, edges, counts, overflow, total, low, high):
-    """Quantile over merged per-bucket counts, same estimator as
-    :meth:`Histogram.quantile` (log interpolation, clamped to data)."""
+def _bucket_quantile(q, edges, counts, overflow, total, low, high):
+    """The histogram quantile estimator over per-bucket counts.
+
+    Walks the cumulative counts to the bucket holding rank ``q * total``
+    and interpolates logarithmically inside it (the right interpolation
+    for log-spaced edges), clamped to the observed ``[low, high]``.
+    :meth:`Histogram.quantile` calls it with its own edges,
+    :func:`merge_snapshots` with the merged bounds.
+    """
     rank = q * total
     cumulative = 0
     for index, bucket_count in enumerate(list(counts) + [overflow]):
@@ -479,9 +466,8 @@ def merge_snapshots(snapshots) -> dict:
     * **Histograms** are rebuilt from their cumulative buckets:
       per-bucket counts are summed per upper bound, ``count``/``sum``
       added, ``min``/``max`` combined, and p50/p95/p99 re-estimated
-      with the same logarithmic in-bucket interpolation
-      :meth:`Histogram.quantile` uses — exact at bucket resolution,
-      which is the resolution the originals had anyway.
+      by the estimator :meth:`Histogram.quantile` uses — exact at bucket
+      resolution, which is the resolution the originals had anyway.
 
     Input entries are never mutated; the result has the same JSON-pure
     shape ``MetricsRegistry.snapshot()`` produces.
@@ -539,7 +525,7 @@ def merge_snapshots(snapshots) -> dict:
             low = slot["min"] if slot["min"] is not None else 0.0
             high = slot["max"] if slot["max"] is not None else low
             entry.update({
-                f"p{int(q * 100)}": _merged_quantile(
+                f"p{int(q * 100)}": _bucket_quantile(
                     q, bounds, counts, overflow, slot["count"], low, high)
                 for q in (0.50, 0.95, 0.99)})
         else:

@@ -367,17 +367,15 @@ class ShardedFleet:
             try:
                 shard.conn.send((op,) + args)
                 kind, payload = self._recv(shard)
-            except ShardCrashed as exc:
+            except (ShardCrashed, OSError) as exc:
                 # Supervised path: respawn and retry the request once on
                 # the fresh shard (raises when unsupervised/quarantined).
-                shard = self._revive_locked(index, exc)
-                shard.conn.send((op,) + args)
-                kind, payload = self._recv(shard)
-            except (BrokenPipeError, OSError) as exc:
-                crash = ShardCrashed(
-                    f"fleet shard {index} (pid {shard.pid}) closed its "
-                    f"pipe mid-request")
-                crash.__cause__ = exc
+                crash = exc
+                if not isinstance(exc, ShardCrashed):
+                    crash = ShardCrashed(
+                        f"fleet shard {index} (pid {shard.pid}) closed its "
+                        f"pipe mid-request")
+                    crash.__cause__ = exc
                 shard = self._revive_locked(index, crash)
                 shard.conn.send((op,) + args)
                 kind, payload = self._recv(shard)
@@ -457,16 +455,7 @@ class ShardedFleet:
 
     def update_many(self, batches: Mapping[str, object]
                     ) -> Dict[str, list]:
-        per_shard: Dict[int, dict] = {}
-        for name, observations in batches.items():
-            per_shard.setdefault(self.shard_of(name), {})[name] = \
-                observations
-        replies = self._scatter({index: ("update_many", sub)
-                                 for index, sub in per_shard.items()})
-        merged: Dict[str, list] = {}
-        for reply in replies.values():
-            merged.update(reply)
-        return merged
+        return self._scatter_streams("update_many", batches)
 
     def update_coalesced(self, batches: Mapping[str, object]
                          ) -> Dict[str, list]:
@@ -476,11 +465,17 @@ class ShardedFleet:
         never crosses a shard boundary — windows would have to cross
         the pipe — so the fused-group ceiling is the per-shard stream
         count, which is exactly the set sharing a process anyway."""
+        return self._scatter_streams("update_coalesced", batches)
+
+    def _scatter_streams(self, op: str, batches: Mapping[str, object]
+                         ) -> Dict[str, list]:
+        """Split per-stream batches by shard, run ``op`` on every shard
+        slice concurrently and merge the per-stream replies."""
         per_shard: Dict[int, dict] = {}
         for name, observations in batches.items():
             per_shard.setdefault(self.shard_of(name), {})[name] = \
                 observations
-        replies = self._scatter({index: ("update_coalesced", sub)
+        replies = self._scatter({index: (op, sub)
                                  for index, sub in per_shard.items()})
         merged: Dict[str, list] = {}
         for reply in replies.values():

@@ -19,9 +19,7 @@ sharing an ensemble into one ``score_windows_last`` call (see
 :meth:`~repro.streaming.multi.StreamFleet.update_coalesced`).  Because
 scoring a flush takes real time, the *next* flush's requests pile up
 behind it — natural batching: the busier the service, the larger the
-fused batches, with zero added latency when idle.  ``coalesce_window``
-optionally holds each flush open a few milliseconds to deepen batches
-at low load (a latency-for-throughput trade, off by default).
+fused batches, with zero added latency when idle.
 
 Results are bit-identical to per-stream serial calls — the coalesced
 path shares the exact prepare/apply code of ``update_batch`` and
@@ -136,10 +134,6 @@ class DetectionServer:
     coalesce:         ``False`` scores every request in its own
                       per-stream serial call (the baseline the bench
                       compares against); coalescing is on by default.
-    coalesce_window:  seconds each flush stays open to admit more
-                      concurrent requests before scoring.  ``0.0``
-                      (default) flushes whatever is queued — natural
-                      batching only, no added latency.
     max_coalesce:     cap on requests per flush (bounds one fused
                       call's memory).
     max_pending:      bound on queued-but-unscored requests; the
@@ -163,8 +157,8 @@ class DetectionServer:
     """
 
     def __init__(self, fleet, host: str = "127.0.0.1", port: int = 0,
-                 coalesce: bool = True, coalesce_window: float = 0.0,
-                 max_coalesce: int = 1024, max_pending: int = 4096,
+                 coalesce: bool = True, max_coalesce: int = 1024,
+                 max_pending: int = 4096,
                  max_queued_builds: Optional[int] = None,
                  request_timeout: Optional[float] = None,
                  checkpoint_dir: Optional[str] = None, registry=None):
@@ -180,7 +174,6 @@ class DetectionServer:
         self.host = host
         self._requested_port = port
         self.coalesce = bool(coalesce)
-        self.coalesce_window = float(coalesce_window)
         self.max_coalesce = int(max_coalesce)
         self.max_pending = int(max_pending)
         self.max_queued_builds = max_queued_builds
@@ -529,9 +522,6 @@ class DetectionServer:
                 # Test hook: requests accumulate until resumed (or a
                 # drain overrides the hold).
                 await self._hold.wait()
-            if self.coalesce_window > 0.0 and not self._draining:
-                # Hold the flush open to deepen the batch at low load.
-                await asyncio.sleep(self.coalesce_window)
             flush: List[_Pending] = []
             while self._queue and len(flush) < self.max_coalesce:
                 flush.append(self._queue.popleft())

@@ -22,22 +22,18 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(autouse=True)
 def _global_state_hygiene():
     """Restore the process-global knobs every test could leak through:
-    the fused scorer's autotuned chunk size, the observability default
-    registry/tracer, and the shared-memory segment namespace.  Each is
-    snapshotted before the test and restored after, so a test that pins
-    or swaps them cannot skew a later test's behaviour (or timings)."""
+    the observability default registry/tracer and the shared-memory
+    segment namespace.  Each is snapshotted before the test and restored
+    after, so a test that swaps them cannot skew a later test's
+    behaviour (or timings)."""
     from repro import faults
-    from repro.core.fused import FusedEnsembleScorer
     from repro.obs import registry as obs_registry
     from repro.obs import tracing as obs_tracing
     from repro.runtime import shm
-    tuned = FusedEnsembleScorer._tuned_chunk_rows
     registry = obs_registry.default_registry()
     tracer = obs_tracing.default_tracer()
     namespace = shm.segment_namespace()
     yield
-    with FusedEnsembleScorer._chunk_tune_lock:
-        FusedEnsembleScorer._tuned_chunk_rows = tuned
     obs_registry.set_default_registry(registry)
     obs_tracing.set_default_tracer(tracer)
     shm.set_segment_namespace(namespace)

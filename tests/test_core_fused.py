@@ -138,15 +138,48 @@ class TestEquivalence:
         np.testing.assert_allclose(ensemble.score(series, n_models=n_models),
                                    loop, rtol=1e-5)
 
-    def test_chunk_boundaries_are_invisible(self, monkeypatch):
-        """Chunked and single-pass fused scoring are bit-identical —
-        windows are independent, so the split is pure memory shaping."""
-        ensemble = trained_ensemble(2, 3)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [5, 128, 512])
+    def test_chunk_boundaries_are_invisible(self, monkeypatch, rows, dtype):
+        """Chunked and single-pass fused scoring are bit-identical at
+        every entry point — windows are independent, so the split is
+        pure memory shaping."""
+        ensemble = fabricated_ensemble(2, 5)
         series = make_series(2, seed=9)
-        one_pass = ensemble.score(series)
-        monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS", 5)
-        ensemble.invalidate_fused()
-        np.testing.assert_array_equal(ensemble.score(series), one_pass)
+        window = ensemble.cae_config.window
+        windows = np.stack([series[i:i + window] for i in range(200)])
+
+        def entry_points():
+            return (ensemble.score(series), ensemble.window_scores(series),
+                    ensemble.score_windows_last(windows))
+
+        with inference_precision(dtype):
+            monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS",
+                                10 ** 6)
+            one_pass = entry_points()
+            monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS",
+                                rows)
+            assert ensemble.fused_scorer()._chunk_size(5, 200) == \
+                max(1, rows // 5)
+            for chunked, single in zip(entry_points(), one_pass):
+                np.testing.assert_array_equal(chunked, single)
+
+    def test_pin_chunk_rows_sets_the_chunk(self, monkeypatch):
+        # Registered first, so teardown restores the class default.
+        monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS",
+                            FusedEnsembleScorer.CHUNK_TARGET_ROWS)
+        scorer = fabricated_ensemble(2, 4).fused_scorer()
+        assert scorer._chunk_size(4, 1000) == 128 // 4
+        FusedEnsembleScorer.pin_chunk_rows(64)
+        assert FusedEnsembleScorer.CHUNK_TARGET_ROWS == 64
+        assert scorer._chunk_size(4, 1000) == 16
+
+    def test_pin_chunk_rows_rejects_rows_below_one(self, monkeypatch):
+        monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS", 64)
+        for rows in (0, -3):
+            with pytest.raises(ValueError, match="rows must be >= 1"):
+                FusedEnsembleScorer.pin_chunk_rows(rows)
+        assert FusedEnsembleScorer.CHUNK_TARGET_ROWS == 64
 
     def test_scalar_window_matches_batch(self):
         ensemble = trained_ensemble(2, 3)
@@ -414,117 +447,3 @@ class TestAfterRefreshAndPersistence:
                                          index=100)
         assert replacement._fused_scorer is not None
         assert_fused_equivalent(replacement, make_series(2, seed=9))
-
-
-class TestChunkAutotune:
-    """First-call chunk-size auto-tune (process-wide, pinning disables)."""
-
-    @pytest.fixture(autouse=True)
-    def clean_autotune_state(self):
-        FusedEnsembleScorer.reset_chunk_autotune()
-        yield
-        FusedEnsembleScorer.reset_chunk_autotune()
-
-    def big_ensemble(self):
-        # m * n comfortably above the 2 * max(candidates) eligibility bar.
-        ensemble = fabricated_ensemble(2, 5)
-        series = make_series(2, length=320, seed=9)
-        return ensemble, series
-
-    def test_first_eligible_call_tunes_and_caches(self):
-        ensemble, series = self.big_ensemble()
-        assert FusedEnsembleScorer._tuned_chunk_rows is None
-        ensemble.score(series)
-        tuned = FusedEnsembleScorer._tuned_chunk_rows
-        assert tuned in FusedEnsembleScorer._CHUNK_CANDIDATES
-        scorer = ensemble.fused_scorer()
-        assert scorer._target_rows() == tuned
-
-    def test_tuning_runs_at_most_once(self, monkeypatch):
-        ensemble, series = self.big_ensemble()
-        calls = []
-        original = FusedEnsembleScorer._time_chunk_candidate
-
-        def counting(self, windows_cf, m, rows, first):
-            calls.append(rows)
-            return original(self, windows_cf, m, rows, first)
-
-        monkeypatch.setattr(FusedEnsembleScorer, "_time_chunk_candidate",
-                            counting)
-        ensemble.score(series)
-        n_first = len(calls)
-        assert n_first == len(FusedEnsembleScorer._CHUNK_CANDIDATES)
-        ensemble.score(series)
-        fresh = fabricated_ensemble(2, 5, seed=1)
-        fresh.score(series)                      # other scorers reuse it too
-        assert len(calls) == n_first
-
-    def test_tuning_times_the_calling_entry_point(self, monkeypatch):
-        ensemble, series = self.big_ensemble()
-        window = ensemble.cae_config.window
-        firsts = []
-        original = FusedEnsembleScorer._time_chunk_candidate
-
-        def recording(self, windows_cf, m, rows, first):
-            firsts.append(first)
-            return original(self, windows_cf, m, rows, first)
-
-        monkeypatch.setattr(FusedEnsembleScorer, "_time_chunk_candidate",
-                            recording)
-        windows = np.stack([series[i:i + window] for i in range(256)])
-        ensemble.score_windows_last(windows)     # float32: suffix decoder
-        assert firsts == [window - 1] * len(
-            FusedEnsembleScorer._CHUNK_CANDIDATES)
-        FusedEnsembleScorer.reset_chunk_autotune()
-        firsts.clear()
-        ensemble.window_scores(series)           # full width
-        assert firsts == [0] * len(FusedEnsembleScorer._CHUNK_CANDIDATES)
-        FusedEnsembleScorer.reset_chunk_autotune()
-        firsts.clear()
-        ensemble.score(series)                   # tail: suffix decoder
-        assert firsts == [window - 1] * len(
-            FusedEnsembleScorer._CHUNK_CANDIDATES)
-
-    def test_pinned_target_rows_disables_tuning(self, monkeypatch):
-        ensemble, series = self.big_ensemble()
-        monkeypatch.setattr(FusedEnsembleScorer, "CHUNK_TARGET_ROWS", 64)
-        ensemble.score(series)
-        assert FusedEnsembleScorer._tuned_chunk_rows is None
-        assert ensemble.fused_scorer()._target_rows() == 64
-
-    def test_small_workload_skips_tuning(self):
-        ensemble = trained_ensemble(2, 2)
-        ensemble.score(make_series(2, length=64, seed=9))
-        assert FusedEnsembleScorer._tuned_chunk_rows is None
-
-    def test_timing_failure_falls_back_to_default(self, monkeypatch):
-        ensemble, series = self.big_ensemble()
-
-        def broken(self, windows_cf, m, rows, first):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(FusedEnsembleScorer, "_time_chunk_candidate",
-                            broken)
-        scores = ensemble.score(series)          # must not raise
-        assert scores.shape == (series.shape[0],)
-        assert FusedEnsembleScorer._tuned_chunk_rows == \
-            FusedEnsembleScorer._DEFAULT_CHUNK_ROWS
-
-    def test_reset_allows_retuning(self):
-        ensemble, series = self.big_ensemble()
-        ensemble.score(series)
-        assert FusedEnsembleScorer._tuned_chunk_rows is not None
-        FusedEnsembleScorer.reset_chunk_autotune()
-        assert FusedEnsembleScorer._tuned_chunk_rows is None
-        ensemble.score(series)
-        assert FusedEnsembleScorer._tuned_chunk_rows in \
-            FusedEnsembleScorer._CHUNK_CANDIDATES
-
-    def test_scores_identical_across_tuned_chunk_sizes(self):
-        ensemble, series = self.big_ensemble()
-        baseline = ensemble.score(series)
-        for rows in FusedEnsembleScorer._CHUNK_CANDIDATES:
-            FusedEnsembleScorer.reset_chunk_autotune()
-            FusedEnsembleScorer._tuned_chunk_rows = rows
-            ensemble.invalidate_fused()
-            np.testing.assert_array_equal(ensemble.score(series), baseline)

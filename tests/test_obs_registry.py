@@ -236,6 +236,22 @@ class TestMergeSnapshots:
         assert histogram["sum"] == original["sum"]
         assert histogram["buckets"] == original["buckets"]
 
+    def test_single_snapshot_keeps_its_own_quantiles(self):
+        # One estimator serves Histogram.quantile and the merge, so a
+        # one-snapshot merge re-derives the snapshot's own p50/p95/p99
+        # exactly — here p50 interpolates inside a finite bucket and
+        # p95/p99 fall in the overflow bucket (above the last edge).
+        from repro.obs import merge_snapshots
+        values = [0.001 * (1.3 ** k) for k in range(40)] + [5e3, 7e3, 9e3]
+        snapshot = self.snap(lambda r: [r.histogram("h").observe(v)
+                                        for v in values])
+        [original] = snapshot["histograms"]
+        [merged] = merge_snapshots([snapshot])["histograms"]
+        assert values[-1] > Histogram("h", {}).edges[-1]
+        assert original["p95"] == original["p99"] == 9e3
+        for quantile in ("p50", "p95", "p99"):
+            assert merged[quantile] == original[quantile]
+
     def test_disjoint_metric_names_union_without_crosstalk(self):
         from repro.obs import merge_snapshots
         left = self.snap(lambda r: r.counter("only_left").inc(2))
