@@ -27,13 +27,17 @@ the CAE forward pass as plain NumPy over ``(M, N, ...)`` activations:
   and mirrors the gradcheck-verified training forward op for op;
 * activations can run in float32 (the thread's
   :func:`repro.nn.inference_dtype` policy) for half the memory traffic;
-* a thread-local workspace recycles every large intermediate buffer, so
-  steady-state micro-batch scoring (the :mod:`repro.streaming` hot path,
-  where the batch shape repeats every call) performs no large
-  allocations;
+* a thread-local workspace recycles every large intermediate buffer at
+  its largest size so far, so scoring performs no large allocations once
+  it has seen its largest batch, whatever sizes follow;
 * a batch is scored in chunks of a fixed ``CHUNK_TARGET_ROWS`` (128)
   model-window rows, so the working set stays cache-resident whatever
-  N is; windows are independent, so chunking never changes a score;
+  N is, and each chunk casts its own rows to the compute dtype, so a
+  strided ``sliding_windows`` view is never copied out whole.  Batches
+  of at least four chunks spread them over the usable cores in
+  contiguous spans, one thread each for the call; windows are
+  independent and every chunk runs the same GEMMs on any thread, so
+  neither chunking nor the thread count ever changes a score;
 * the decoder is causal, so scoring only each window's last timestamp
   (:meth:`FusedEnsembleScorer.score_windows_last`) decodes on the float32
   fast path just the suffix that column depends on — K-1 columns per
@@ -63,6 +67,8 @@ refreshing, which builds new instances, is detected automatically).
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,14 +83,18 @@ from .config import CAEConfig
 
 
 class _Workspace:
-    """Per-thread scratch buffers keyed by call site.
+    """Scratch buffers keyed by call site, kept at their largest size.
 
     Each call site in the fused forward owns a distinct key, so a buffer
-    is never aliased by two live intermediates within one pass; across
-    passes with the same batch shape the buffers are reused as-is.  The
-    workspace lives in a ``threading.local`` slot of the scorer, so
-    concurrent scoring threads (fleet serving, background refreshes)
-    never share scratch memory.
+    is never aliased by two live intermediates within one pass.  The one
+    exception is the im2col unfolding: every unfolding is consumed by its
+    GEMM(s) before the next one starts, so all call sites share the
+    ``"cols"`` buffer.  A key keeps one flat buffer, the largest it has
+    been asked for, and :meth:`get` returns a contiguous prefix of it
+    reshaped to the requested shape, so a partial last chunk or a batch
+    of another size reuses it instead of reallocating.  Workspaces live
+    in a ``threading.local`` slot of the scorer, so concurrent callers
+    (fleet serving, background refreshes) never share scratch memory.
 
     ``allocs``/``reuses`` count buffer outcomes (two plain int adds per
     ``get`` — always on); the scorer flushes their deltas into registry
@@ -101,14 +111,15 @@ class _Workspace:
 
     def get(self, key: str, shape: Tuple[int, ...],
             dtype: np.dtype) -> np.ndarray:
+        size = math.prod(shape)
         buffer = self._buffers.get(key)
-        if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
-            buffer = np.empty(shape, dtype=dtype)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = np.empty(size, dtype=dtype)
             self._buffers[key] = buffer
             self.allocs += 1
         else:
             self.reuses += 1
-        return buffer
+        return buffer[:size].reshape(shape)
 
 
 class _FusedTelemetry:
@@ -464,16 +475,18 @@ class FusedEnsembleScorer:
     # ------------------------------------------------------------------
     # Batched layers
     # ------------------------------------------------------------------
-    @property
-    def _workspace(self) -> _Workspace:
-        workspace = getattr(self._local, "workspace", None)
-        if workspace is None:
-            workspace = _Workspace()
-            self._local.workspace = workspace
-        return workspace
+    def _workspaces(self, count: int) -> List[_Workspace]:
+        """The calling thread's first ``count`` span workspaces (created
+        on first use, then kept for its later calls)."""
+        workspaces = getattr(self._local, "workspaces", None)
+        if workspaces is None:
+            workspaces = self._local.workspaces = []
+        while len(workspaces) < count:
+            workspaces.append(_Workspace())
+        return workspaces[:count]
 
     def _im2col(self, x: np.ndarray, pack: _ConvPack, m: int,
-                workspace: _Workspace, key: str,
+                workspace: _Workspace,
                 width: Optional[int] = None) -> np.ndarray:
         """Unfold ``(M, N, C, L)`` receptive fields into GEMM columns.
 
@@ -498,7 +511,7 @@ class FusedEnsembleScorer:
             left -= l_out - width
             l_out = width
         rows = c * k + (1 if pack.folded else 0)
-        cols = workspace.get(key + ".cols", (m, n, rows, l_out), x.dtype)
+        cols = workspace.get("cols", (m, n, rows, l_out), x.dtype)
         cols5 = cols[:, :, :c * k, :].reshape(m, n, c, k, l_out)
         for t in range(k):
             lo = max(0, left - t)
@@ -546,7 +559,7 @@ class FusedEnsembleScorer:
             if pack.bias is not None:
                 out += pack.bias[:m]
             return out
-        cols = self._im2col(x, pack, m, workspace, key, width)
+        cols = self._im2col(x, pack, m, workspace, width)
         return self._gemm(cols, pack, m, workspace, key)
 
     def _sigmoid(self, x: np.ndarray) -> None:
@@ -571,8 +584,7 @@ class FusedEnsembleScorer:
         two GEMMs write contiguous buffers so the sigmoid and product run
         at full elementwise speed.
         """
-        cols = self._im2col(x, block["glu_v"], m, workspace, key + ".glu",
-                            width)
+        cols = self._im2col(x, block["glu_v"], m, workspace, width)
         value = self._gemm(cols, block["glu_v"], m, workspace, key + ".v")
         gate = self._gemm(cols, block["glu_g"], m, workspace, key + ".g")
         self._sigmoid(gate)
@@ -673,13 +685,10 @@ class FusedEnsembleScorer:
             encoder_states.append(hidden)
             state = hidden
 
-        # Decoder input: embedded window shifted right by one step.  A
-        # suffix pass keeps its buffers under their own keys, so the two
-        # entry points interleave without reallocating.
+        # Decoder input: embedded window shifted right by one step.
         widths = iter(self._decoder_widths(first))
-        tag = "last." if first else ""
         width = next(widths)
-        shifted = workspace.get(tag + "shift",
+        shifted = workspace.get("shift",
                                 (m, n, config.embed_dim, width), self.dtype)
         if width == config.window:
             shifted[..., 0] = 0.0
@@ -688,7 +697,7 @@ class FusedEnsembleScorer:
             shifted[...] = embedded[..., -width - 1:-1]
         decoder_state = shifted
         for layer, block in enumerate(self._decoder):
-            key = f"{tag}dec{layer}"
+            key = f"dec{layer}"
             gated = self._glu(decoder_state, block, m, workspace, key,
                               next(widths)) \
                 if "glu_v" in block else decoder_state
@@ -702,14 +711,14 @@ class FusedEnsembleScorer:
             if config.use_attention:
                 decoder_state = self._attend(
                     decoder_state, encoder_states[layer],
-                    self._attention[layer], m, workspace, f"{tag}att{layer}")
+                    self._attention[layer], m, workspace, f"att{layer}")
 
         final = decoder_state
         if self._output_glu is not None:
-            final = self._glu(final, self._output_glu, m, workspace,
-                              tag + "out", next(widths))
+            final = self._glu(final, self._output_glu, m, workspace, "out",
+                              next(widths))
         reconstructed = self._conv(final, self._reconstruction, m,
-                                   workspace, tag + "recon")
+                                   workspace, "recon")
         if config.reconstruct == "observations":
             target = windows_cf
         else:
@@ -717,14 +726,15 @@ class FusedEnsembleScorer:
         return reconstructed, target
 
     def _prepare_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Validate and return the channel-first ``(1, N, D, w)`` view."""
+        """Validate ``(N, w, D)`` windows.  They are not cast here: each
+        chunk casts its own rows (:meth:`_score_chunk`), so a strided
+        ``sliding_windows`` view is never folded out whole."""
         windows = np.asarray(windows)
         expected = (self.config.window, self.config.input_dim)
         if windows.ndim != 3 or windows.shape[1:] != expected:
             raise ValueError(f"expected (N, {expected[0]}, {expected[1]}) "
                              f"windows, got {windows.shape}")
-        windows = windows.astype(self.dtype, copy=False)
-        return windows.transpose(0, 2, 1)[None]
+        return windows
 
     def _resolve_models(self, n_models: Optional[int]) -> int:
         if n_models is None:
@@ -766,6 +776,28 @@ class FusedEnsembleScorer:
         chunk = max(1, self.CHUNK_TARGET_ROWS // m)
         return max(1, min(n, chunk))     # >= 1: an empty batch loops 0 times
 
+    def _score_chunk(self, windows: np.ndarray, m: int, first: int,
+                     out: np.ndarray, workspace: _Workspace) -> None:
+        """Score one chunk of ``(n, w, D)`` windows into ``out``'s rows:
+        the last ``out.shape[1]`` columns, reconstructed from ``first``."""
+        if windows.dtype != self.dtype:
+            cast = workspace.get("input", windows.shape, self.dtype)
+            cast[...] = windows
+            windows = cast
+        reconstruction, target = self._reconstruct(
+            windows.transpose(0, 2, 1)[None], m, workspace, first)
+        # Errors reduce over the feature axis in (.., w, D) layout — the
+        # same contiguous last-axis reduction (and therefore the same
+        # summation order) as the per-model loop.
+        cols = out.shape[1]
+        reconstruction = reconstruction[..., -cols:]
+        mm, nn, c, _ = reconstruction.shape
+        diff = workspace.get("diff", (mm, nn, cols, c), self.dtype)
+        np.subtract(reconstruction.transpose(0, 1, 3, 2),
+                    target[..., -cols:].transpose(0, 1, 3, 2), out=diff)
+        diff *= diff
+        out[...] = self._aggregate(diff.sum(axis=-1))
+
     def _score_chunks(self, windows: np.ndarray, n_models: Optional[int],
                       first: int, last: bool) -> np.ndarray:
         """The chunk loop behind both public entry points.
@@ -773,36 +805,67 @@ class FusedEnsembleScorer:
         Reconstructs from column ``first`` (:meth:`_reconstruct`) and
         scores every column, ``(N, w)``, or with ``last`` only each
         window's last one, ``(N,)``.
+
+        The chunks are split into contiguous spans over
+        ``min(usable cores, chunks // 2)`` workers, at least two chunks
+        each.  The calling thread scores span 0 and one thread per other
+        span, started for this call and joined before it returns, the
+        rest; NumPy releases the GIL inside the GEMMs, im2col copies and
+        ufunc loops, so the spans overlap.  A chunk runs the same code on
+        the same rows on any thread, so scores are bit-identical for any
+        worker count.  No pool outlives the call, so a forked child has
+        nothing to rebuild.
         """
-        windows_cf = self._prepare_windows(windows)
+        windows = self._prepare_windows(windows)
         m = self._resolve_models(n_models)
-        n = windows_cf.shape[1]
-        cols = 1 if last else self.config.window
-        out = np.empty((n, cols), dtype=np.float64)
+        n = windows.shape[0]
+        out = np.empty((n, 1 if last else self.config.window),
+                       dtype=np.float64)
         chunk = self._chunk_size(m, n)
-        workspace = self._workspace
+        starts = range(0, n, chunk)
+        workers = max(1, min(_usable_cores(), len(starts) // 2))
+        bounds = [len(starts) * span // workers
+                  for span in range(workers + 1)]
+        workspaces = self._workspaces(workers)
         obs = self._obs
-        key = "diff.last" if last else "diff"
-        for start in range(0, n, chunk):
-            tick = time.perf_counter() if obs.enabled else 0.0
-            part = windows_cf[:, start:start + chunk]
-            reconstruction, target = self._reconstruct(part, m, workspace,
-                                                       first)
-            # Errors reduce over the feature axis in (.., w, D) layout —
-            # the same contiguous last-axis reduction (and therefore the
-            # same summation order) as the per-model loop.
-            reconstruction = reconstruction[..., -cols:]
-            mm, nn, c, _ = reconstruction.shape
-            diff = workspace.get(key, (mm, nn, cols, c), self.dtype)
-            np.subtract(reconstruction.transpose(0, 1, 3, 2),
-                        target[..., -cols:].transpose(0, 1, 3, 2), out=diff)
-            diff *= diff
-            out[start:start + chunk] = self._aggregate(diff.sum(axis=-1))
-            if obs.enabled:
-                obs.chunk_seconds.observe(time.perf_counter() - tick)
+
+        def score_span(span: int) -> None:
+            for start in starts[bounds[span]:bounds[span + 1]]:
+                tick = time.perf_counter() if obs.enabled else 0.0
+                stop = start + chunk
+                self._score_chunk(windows[start:stop], m, first,
+                                  out[start:stop], workspaces[span])
+                if obs.enabled:
+                    obs.chunk_seconds.observe(time.perf_counter() - tick)
+
+        errors: List[Optional[BaseException]] = [None] * workers
+
+        def helper(span: int) -> None:
+            try:
+                score_span(span)
+            except BaseException as exc:     # re-raised by the caller
+                errors[span] = exc
+
+        # Join every helper that started, even if a later start fails,
+        # so none outlives the call writing into a reused workspace.
+        started: List[threading.Thread] = []
+        try:
+            for span in range(1, workers):
+                thread = threading.Thread(target=helper, args=(span,),
+                                          name=f"fused-span-{span}")
+                thread.start()
+                started.append(thread)
+            score_span(0)
+        finally:
+            for thread in started:
+                thread.join()
+        for error in errors:
+            if error is not None:
+                raise error
         if obs.enabled:
             obs.windows.inc(n)
-            obs.flush_workspace(workspace)
+            for workspace in workspaces:
+                obs.flush_workspace(workspace)
         return out[:, 0] if last else out
 
     def window_scores(self, windows: np.ndarray,
@@ -841,6 +904,16 @@ class FusedEnsembleScorer:
             len(models) == len(self.packed_models) and \
             all(model is packed for model, packed
                 in zip(models, self.packed_models))
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one, so a ``taskset``- or cpuset-pinned process counts only the CPUs
+    it was given."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:               # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def fingerprint_arrays(arrays: "Dict[str, np.ndarray]") -> str:

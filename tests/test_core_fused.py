@@ -8,19 +8,24 @@ ensemble sizes M in {1, 5, 40}, uni- and multivariate series, every
 architecture toggle, streaming refresh swaps and save/load round-trips,
 plus the causal-suffix ``score_windows_last`` over a grid of windows,
 kernel sizes and depths, and batch ``score``, which decodes every window
-after the first through it.
+after the first through it.  The chunk-parallel loop must give the same
+bytes at any forced worker count.
 """
 
+import multiprocessing
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core import fused
 from repro.core import (CAEConfig, CAEEnsemble, EnsembleConfig,
                         FusedEnsembleScorer, load_ensemble, save_ensemble)
 from repro.core.cae import CAE
 from repro.datasets.preprocess import StandardScaler
-from repro.datasets.windows import window_scores_to_observation_scores
+from repro.datasets.windows import (sliding_windows,
+                                   window_scores_to_observation_scores)
 from repro.nn import inference_dtype, inference_precision
 from repro.obs import NullRegistry
 from tests.conftest import sine_regime
@@ -278,7 +283,7 @@ class TestCausalSuffix:
         for scorer in scorers.values():
             last = scorer.score_windows_last(windows)
             full = scorer.window_scores(windows)
-            workspace = scorer._workspace
+            workspace = scorer._workspaces(1)[0]
             allocs = workspace.allocs
             for _ in range(3):
                 np.testing.assert_array_equal(
@@ -334,6 +339,152 @@ class TestBatchScore:
         assert full.shape == (0, window) and full.dtype == np.float64
         assert last.shape == (0,) and last.dtype == np.float64
         assert online.shape == (0,) and online.dtype == np.float64
+
+
+def force_cores(monkeypatch, cores: int) -> None:
+    monkeypatch.setattr(fused, "_usable_cores", lambda: cores)
+
+
+def fork_and_score(scorer, windows, conn) -> None:
+    conn.send(scorer.window_scores(windows))
+    conn.close()
+
+
+class TestChunkParallel:
+    """A batch's chunks are spread over up to ``min(cores, chunks // 2)``
+    threads; every entry point is bit-identical at any worker count."""
+
+    @staticmethod
+    def batch(n_windows):
+        """A 5-model ensemble (25 windows per chunk), a series and its
+        ``n_windows`` model-space windows."""
+        ensemble = fabricated_ensemble(3, 5)
+        series = make_series(3, length=n_windows + 7, seed=9)
+        return ensemble, series, sliding_windows(ensemble._transform(series),
+                                                 8)
+
+    @classmethod
+    def scorer_and_windows(cls, n_windows):
+        ensemble, _, windows = cls.batch(n_windows)
+        return FusedEnsembleScorer(ensemble.models, ensemble.cae_config,
+                                   dtype=np.float32,
+                                   registry=NullRegistry()), windows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_models", [None, 3])
+    def test_bit_identical_at_any_worker_count(self, monkeypatch, dtype,
+                                               n_models):
+        # 213 windows: 9 chunks of up to 25 at M=5 (last one 13), 6 of
+        # up to 42 at n_models=3 (last one 3).  Up to 4 workers, more than
+        # the cores of a small host, with fast thread switching.
+        ensemble, series, windows = self.batch(213)
+
+        def entry_points():
+            scorer = ensemble.fused_scorer()
+            return (scorer.window_scores(windows, n_models=n_models),
+                    scorer.score_windows_last(windows, n_models=n_models),
+                    ensemble.score(series, n_models=n_models))
+
+        interval = sys.getswitchinterval()
+        with inference_precision(dtype):
+            force_cores(monkeypatch, 1)
+            serial = entry_points()
+            sys.setswitchinterval(1e-5)
+            try:
+                for cores in (2, 3, 4):
+                    force_cores(monkeypatch, cores)
+                    for parallel, expected in zip(entry_points(), serial):
+                        np.testing.assert_array_equal(parallel, expected)
+            finally:
+                sys.setswitchinterval(interval)
+
+    def test_workers_split_the_chunks(self, monkeypatch):
+        scorer, windows = self.scorer_and_windows(163)
+        names = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            names.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        force_cores(monkeypatch, 3)
+        scorer.window_scores(windows)            # 7 chunks: 3 spans
+        assert names == ["fused-span-1", "fused-span-2"]
+        names.clear()
+        scorer.window_scores(windows[:75])       # 3 chunks: 1 span
+        scorer.score_windows_last(windows[:25])  # 1 chunk
+        assert names == []
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        scorer, windows = self.scorer_and_windows(100)
+        force_cores(monkeypatch, 2)
+        caller = threading.current_thread()
+        score_chunk = scorer._score_chunk
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper span failed")
+            score_chunk(*args)
+
+        monkeypatch.setattr(scorer, "_score_chunk", failing)
+        with pytest.raises(RuntimeError, match="helper span failed"):
+            scorer.window_scores(windows)
+
+    def test_failed_thread_start_joins_the_started_helpers(self,
+                                                          monkeypatch):
+        scorer, windows = self.scorer_and_windows(163)
+        force_cores(monkeypatch, 3)
+        start = threading.Thread.start
+
+        def start_one(thread):
+            if thread.name == "fused-span-2":
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            scorer.window_scores(windows)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("fused-span")]
+
+    def test_forked_child_scores_a_multi_chunk_batch(self, monkeypatch):
+        scorer, windows = self.scorer_and_windows(163)
+        force_cores(monkeypatch, 2)
+        expected = scorer.window_scores(windows)    # helpers ran here
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=fork_and_score,
+                                args=(scorer, windows, sender))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60.0), "forked child hung while scoring"
+            np.testing.assert_array_equal(receiver.recv(), expected)
+        finally:
+            child.join(10.0)
+            if child.is_alive():                    # pragma: no cover
+                child.kill()
+                child.join()
+        assert not child.is_alive() and child.exitcode == 0
+
+    def test_cycling_batch_sizes_allocate_nothing(self, monkeypatch):
+        """Buffers keep their largest size: a partial last chunk or a
+        smaller coalesced batch reuses a prefix instead of reallocating."""
+        scorer, windows = self.scorer_and_windows(163)
+        force_cores(monkeypatch, 2)
+        sizes = (163, 52, 110, 13, 8, 129)       # 1 or 2 spans
+        for size in sizes:
+            scorer.score_windows_last(windows[:size])
+            scorer.window_scores(windows[:size])
+        workspaces = scorer._workspaces(2)
+        allocs = [workspace.allocs for workspace in workspaces]
+        reuses = sum(workspace.reuses for workspace in workspaces)
+        for size in sizes:
+            scorer.score_windows_last(windows[:size])
+            scorer.window_scores(windows[:size])
+        assert [workspace.allocs for workspace in workspaces] == allocs
+        assert sum(workspace.reuses for workspace in workspaces) > reuses
 
 
 class TestCacheLifecycle:
