@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..datasets.preprocess import StandardScaler
-from ..datasets.windows import (sliding_windows,
+from ..datasets.windows import (sample_windows, sliding_windows,
                                 window_scores_to_observation_scores)
 
 
@@ -87,13 +87,9 @@ class WindowedDetector(OutlierDetector):
         if self.rescale:
             self.scaler = StandardScaler().fit(series)
             series = self.scaler.transform(series)
-        windows = np.array(sliding_windows(series, self.window))
-        cap = self.max_training_windows
-        if cap is not None and windows.shape[0] > cap:
-            rng = np.random.default_rng(self.seed)
-            keep = np.sort(rng.choice(windows.shape[0], size=cap,
-                                      replace=False))
-            windows = windows[keep]
+        windows = sample_windows(series, self.window,
+                                 self.max_training_windows,
+                                 np.random.default_rng(self.seed))
         self._fit_windows(windows)
         self._fitted = True
         return self

@@ -10,13 +10,15 @@ Neighbour queries use :class:`scipy.spatial.cKDTree`; the LOF algebra
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..datasets.preprocess import StandardScaler
 from .base import OutlierDetector
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 class LocalOutlierFactor(OutlierDetector):
@@ -53,6 +55,9 @@ class LocalOutlierFactor(OutlierDetector):
         if series.shape[0] <= self.n_neighbors:
             raise ValueError(f"need more than {self.n_neighbors} training "
                              f"points, got {series.shape[0]}")
+        # scipy.spatial is imported here, not at module load, so importing
+        # the baselines does not pull scipy into every process.
+        from scipy.spatial import cKDTree
         self._train = series
         self._tree = cKDTree(series)
         # k-distance and neighbourhood of each *training* point: query k+1

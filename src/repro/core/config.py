@@ -158,6 +158,19 @@ class EnsembleConfig:
         if self.aggregation not in ("median", "mean"):
             raise ValueError(f"aggregation must be 'median' or 'mean', "
                              f"got {self.aggregation!r}")
+        if self.grad_clip is not None and self.grad_clip <= 0.0:
+            raise ValueError(f"grad_clip must be positive or None, "
+                             f"got {self.grad_clip}")
+        if self.max_training_windows is not None \
+                and self.max_training_windows < 1:
+            raise ValueError(f"max_training_windows must be >= 1 or None, "
+                             f"got {self.max_training_windows}")
+        if self.early_stop_patience < 1:
+            raise ValueError(f"early_stop_patience must be >= 1, "
+                             f"got {self.early_stop_patience}")
+        if self.diversity_saturation <= 0.0:
+            raise ValueError(f"diversity_saturation must be positive, "
+                             f"got {self.diversity_saturation}")
         if self.fused_training_dtype not in ("float32", "float64"):
             raise ValueError(f"fused_training_dtype must be 'float32' or "
                              f"'float64', got {self.fused_training_dtype!r}")

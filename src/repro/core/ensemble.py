@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..datasets.preprocess import StandardScaler
-from ..datasets.windows import (sliding_windows,
+from ..datasets.windows import (sample_windows, sliding_windows,
                                 window_scores_to_observation_scores)
 from ..nn import Tensor, inference_dtype, no_grad
 from .cae import CAE
@@ -131,9 +131,9 @@ class CAEEnsemble:
                     self._fused_scorer)
         start_time = time.perf_counter()
         try:
-            windows = self._prepare_training_windows(series)
-            trainer = FusedEnsembleTrainer(self.cae_config, self.config,
-                                           windows)
+            trainer = FusedEnsembleTrainer(
+                self.cae_config, self.config,
+                self._prepare_training_windows(series))
             self.models = []
             self._fused_scorer = None
             self.history = []
@@ -142,7 +142,8 @@ class CAEEnsemble:
             warm_fraction = self.config.transfer_fraction \
                 if warm_start_fraction is None else warm_start_fraction
 
-            # Running sum of frozen model outputs; F = sum / m (Eq. 8).
+            # Running sum of frozen model outputs, updated in place;
+            # F = sum / m (Eq. 8).
             ensemble_sum: Optional[np.ndarray] = None
 
             for model_index in range(self.config.n_models):
@@ -171,8 +172,12 @@ class CAEEnsemble:
                         model_index=model_index, epoch=epoch, loss=loss,
                         reconstruction=j_value, diversity=k_value))
                 self.models.append(model)
-                ensemble_sum = output if ensemble_sum is None \
-                    else ensemble_sum + output
+                if model_index + 1 == self.config.n_models:
+                    break   # nothing trains against the last mean
+                if ensemble_sum is None:
+                    ensemble_sum = output
+                else:
+                    ensemble_sum += output
         except BaseException:
             # Restore the exact pre-fit state: a failed or cancelled refit
             # keeps serving its previous generation, a fresh build stays
@@ -199,12 +204,8 @@ class CAEEnsemble:
             series = self.scaler.transform(series)
         else:
             self.scaler = None
-        windows = np.array(sliding_windows(series, self.cae_config.window))
-        cap = self.config.max_training_windows
-        if cap is not None and windows.shape[0] > cap:
-            keep = self._rng.choice(windows.shape[0], size=cap, replace=False)
-            windows = windows[np.sort(keep)]
-        return windows
+        return sample_windows(series, self.cae_config.window,
+                              self.config.max_training_windows, self._rng)
 
     def _model_output(self, model: CAE, windows: np.ndarray,
                       batch_size: int = 256) -> np.ndarray:

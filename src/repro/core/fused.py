@@ -74,7 +74,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from ..nn.conv import resolve_padding
 from ..nn.tensor import inference_dtype, no_grad
@@ -240,14 +239,10 @@ class FusedEnsembleScorer:
                              f"got {aggregation!r}")
         self.config = cae_config
         self.aggregation = aggregation
-        self.dtype = np.dtype(inference_dtype() if dtype is None else dtype)
+        self._set_dtype(inference_dtype() if dtype is None else dtype)
         if self.dtype.kind != "f":
             raise ValueError(f"compute dtype must be floating, "
                              f"got {self.dtype}")
-        # float64 is the bit-exact reference path (scipy's expit sigmoid,
-        # exactly as training uses); narrower dtypes take the fast
-        # sigmoid, identical in exact arithmetic.
-        self._exact = self.dtype == np.float64
         self.n_models = len(models)
         # Strong references to the packed models: the owning ensemble
         # compares them (by identity) against its current ``models`` list
@@ -260,6 +255,20 @@ class FusedEnsembleScorer:
         self._obs = _FusedTelemetry(registry if registry is not None
                                     else default_registry())
         self._pack(models)
+
+    def _set_dtype(self, dtype) -> None:
+        """Fix the compute dtype and, with it, the sigmoid path.
+
+        float64 is the bit-exact reference path (scipy's expit sigmoid,
+        exactly as training uses); narrower dtypes take the fast sigmoid,
+        identical in exact arithmetic.  ``expit`` is resolved here, once
+        per exact scorer, so float32 processes never import scipy.
+        """
+        self.dtype = np.dtype(dtype)
+        self._exact = self.dtype == np.float64
+        if self._exact:
+            from scipy.special import expit
+            self._expit = expit
 
     # ------------------------------------------------------------------
     # Weight packing
@@ -416,8 +425,7 @@ class FusedEnsembleScorer:
         self = object.__new__(cls)
         self.config = cae_config
         self.aggregation = meta["aggregation"]
-        self.dtype = np.dtype(meta["dtype"])
-        self._exact = self.dtype == np.float64
+        self._set_dtype(meta["dtype"])
         self.n_models = int(meta["n_models"])
         self.packed_models = ()
         self._local = threading.local()
@@ -568,7 +576,7 @@ class FusedEnsembleScorer:
         ``1 / (1 + exp(-x))`` with vectorised ufuncs — the same function,
         evaluated ~3x faster on float32."""
         if self._exact:
-            expit(x, out=x)
+            self._expit(x, out=x)
         else:
             np.negative(x, out=x)
             np.exp(x, out=x)

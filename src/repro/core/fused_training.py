@@ -20,8 +20,9 @@ keeps the stage structure and instead fuses *within* each stage:
   :func:`repro.nn.batched.fused_training_loss` node — no detached
   re-evaluations;
 * the frozen-ensemble output of a finished stage is produced by the same
-  batched forward under ``no_grad`` (chunked, like
-  :meth:`CAEEnsemble._model_output`).
+  batched forward under ``no_grad``, in training-batch chunks so its
+  activations stay a training step's size; the last stage's output is
+  skipped, since no later model trains against it.
 
 Equivalence contract (``tests/test_core_fused_training.py``): the test
 suite keeps the per-module float64 loop as an oracle,
@@ -191,9 +192,13 @@ class FusedEnsembleTrainer:
     def train_model(self, model: CAE, model_index: int,
                     frozen_ensemble: Optional[np.ndarray],
                     rng: np.random.Generator, verbose: bool = False
-                    ) -> Tuple[List[StageRecord], np.ndarray]:
+                    ) -> Tuple[List[StageRecord], Optional[np.ndarray]]:
         """Train one basic model and return its epoch records and frozen
         output over all training windows, ``(N, w, out)`` float64.
+
+        The last basic model (``model_index + 1 == config.n_models``)
+        returns ``None`` as its output: nothing trains against the Eq. 8
+        mean after it, so its frozen forward is skipped.
 
         ``rng`` is the ensemble's generator; exactly one
         ``permutation(n)`` is drawn per epoch — the same consumption as
@@ -237,6 +242,9 @@ class FusedEnsembleTrainer:
                 epoch_j += j_value
                 epoch_k += k_value
                 n_batches += 1
+                # Free this step's graph before the next forward builds
+                # its own, so one step's activations are live, not two.
+                del prediction, embedded, target, loss
             record = (epoch, epoch_loss / n_batches, epoch_j / n_batches,
                       epoch_k / n_batches)
             records.append(record)
@@ -254,16 +262,19 @@ class FusedEnsembleTrainer:
                     break
             previous_loss = record[2]
         self._write_back(leaves, model)
-        output = self._stage_output(leaves, windows_cf)
-        return records, output
+        if model_index + 1 == config.n_models:
+            return records, None
+        return records, self._stage_output(leaves, windows_cf)
 
     def _stage_output(self, leaves: Dict[str, Tensor],
-                      windows_cf: np.ndarray,
-                      batch_size: int = 512) -> np.ndarray:
+                      windows_cf: np.ndarray) -> np.ndarray:
         """Frozen forward over all windows with the stage weights,
         ``(N, w, out)`` float64 — the fused analogue of
-        :meth:`CAEEnsemble._model_output`, feeding the Eq. 8 running sum."""
+        :meth:`CAEEnsemble._model_output`, feeding the Eq. 8 running sum.
+        It runs in training-batch chunks, so its activations are no
+        larger than a training step's."""
         n = windows_cf.shape[1]
+        batch_size = self.config.batch_size
         outputs = np.empty((n, self.cae_config.window,
                             self.cae_config.output_dim), dtype=np.float64)
         with no_grad():

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-from scipy import stats
 
 
 def _validate_scores(scores: np.ndarray) -> np.ndarray:
@@ -74,6 +73,14 @@ def elbow_ratio_estimate(scores: np.ndarray) -> float:
     return float(np.clip(ratio, 0.0, 0.5))
 
 
+def _normal_ppf(q, loc, scale):
+    """``scipy.stats.norm.ppf(q, loc=loc, scale=scale)`` for ``scale > 0``,
+    evaluated as scipy does (``ndtri(q) * scale + loc``) without importing
+    ``scipy.stats``, the bulk of scipy's load time and memory."""
+    from scipy.special import ndtri
+    return ndtri(q) * scale + loc
+
+
 def gaussian_tail_estimate(scores: np.ndarray,
                            core_quantile: float = 0.75,
                            fence_quantile: float = 0.999) -> float:
@@ -94,8 +101,7 @@ def gaussian_tail_estimate(scores: np.ndarray,
     core = logs[(logs >= low) & (logs <= high)]
     if core.size < 5 or core.std() <= 0:
         return mad_ratio_estimate(scores)
-    location, scale = core.mean(), core.std()
-    fence = stats.norm.ppf(fence_quantile, loc=location, scale=scale)
+    fence = _normal_ppf(fence_quantile, core.mean(), core.std())
     return float((logs > fence).mean())
 
 

@@ -12,7 +12,7 @@ This yields exactly one score per observation of the original series.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,24 @@ def sliding_windows(series: np.ndarray, window: int,
     # (L - w + 1, D, w) -> stride the window starts -> (N, w, D) view.
     view = np.lib.stride_tricks.sliding_window_view(series, window, axis=0)
     return view[::stride].transpose(0, 2, 1)
+
+
+def sample_windows(series: np.ndarray, window: int, cap: Optional[int],
+                   rng: np.random.Generator) -> np.ndarray:
+    """Training windows ``(n, window, D)``: all of them, or ``cap`` drawn
+    at random without replacement and kept in series order.
+
+    The rows are gathered straight from the :func:`sliding_windows` view,
+    so only the kept windows are ever materialised (a ``window``-fold
+    copy of a long series would be thrown away again).  ``rng`` is drawn
+    from only when the series has more than ``cap`` windows: one
+    ``choice(N, size=cap, replace=False)``.
+    """
+    view = sliding_windows(series, window)
+    if cap is None or view.shape[0] <= cap:
+        return np.array(view)
+    keep = rng.choice(view.shape[0], size=cap, replace=False)
+    return view[np.sort(keep)]
 
 
 def window_count(length: int, window: int, stride: int = 1) -> int:

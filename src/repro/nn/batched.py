@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .conv import PaddingSpec, resolve_padding
 from .tensor import Tensor, as_tensor
@@ -66,8 +65,10 @@ def _sigmoid_forward(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
     per-model training kernel, bit-comparable); narrower dtypes take the
     vectorised ``1 / (1 + exp(-x))`` — the same function, faster.
     ``overwrite=True`` lets the fast path reuse ``x``'s buffer (the caller
-    must be done with the raw values)."""
+    must be done with the raw values).  scipy is imported only on the
+    float64 branch, as in :meth:`Tensor.sigmoid`."""
     if x.dtype == np.float64:
+        from scipy.special import expit
         return expit(x)
     if overwrite:
         out = np.negative(x, out=x)

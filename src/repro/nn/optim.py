@@ -99,6 +99,11 @@ class Adam(Optimizer):
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
+        if grad_clip is not None and grad_clip <= 0:
+            # A clip scales by clip / norm: 0 would zero every update and
+            # a negative clip would silently reverse it.
+            raise ValueError(f"grad_clip must be positive or None, "
+                             f"got {grad_clip}")
         self.lr = lr
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps

@@ -21,11 +21,14 @@ behaves exactly as before):
   still arrive later, and reading it as the answer to the *next* request
   would desynchronise the framing.
 
->>> # doctest-style sketch (needs a running server):
->>> #   client = await ServingClient.connect("127.0.0.1", server.port,
->>> #                                        retry=RetryPolicy(seed=0))
->>> #   reply = await client.update("machine-7", observation)
->>> #   if reply["status"] == "overloaded": back_off_and_retry()
+A sketch of a session (it needs a running server, so it is not a
+doctest)::
+
+    client = await ServingClient.connect("127.0.0.1", server.port,
+                                         retry=RetryPolicy(seed=0))
+    reply = await client.update("machine-7", observation)
+    if reply["status"] == "overloaded":
+        back_off_and_retry()
 """
 
 from __future__ import annotations

@@ -30,10 +30,26 @@ class TestConfigValidation:
         {"transfer_fraction": 1.5}, {"diversity_weight": -1.0},
         {"batch_size": 0}, {"learning_rate": 0.0},
         {"aggregation": "mode"},
+        # 0 windows: ZeroDivisionError in the epoch average; -3: numpy's
+        # "negative dimensions" from the subsample.
+        {"max_training_windows": 0}, {"max_training_windows": -3},
+        # Adam scales by clip / norm: 0 zeroes every update, a negative
+        # clip reverses it.
+        {"grad_clip": 0.0}, {"grad_clip": -1.0},
+        # 0 would stop every model after its second epoch.
+        {"early_stop_patience": 0},
+        # s·K/(K+s) is 0/0 at K = 0.
+        {"diversity_saturation": 0.0}, {"diversity_saturation": -0.5},
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             EnsembleConfig(**kwargs)
+
+    def test_none_disables_cap_and_clip(self):
+        config = EnsembleConfig(max_training_windows=None, grad_clip=None)
+        assert config.max_training_windows is None
+        assert config.grad_clip is None
 
 
 class TestTraining:

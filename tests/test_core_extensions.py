@@ -154,6 +154,25 @@ class TestRatioEstimation:
     def test_gaussian_tail_without_positives(self):
         assert gaussian_tail_estimate(np.zeros(100)) == 0.0
 
+    def test_gaussian_fence_is_scipy_norm_ppf_bit_for_bit(self):
+        """The fence skips importing ``scipy.stats`` but must be exactly
+        the quantile ``stats.norm.ppf`` returns."""
+        from scipy import stats
+
+        from repro.core.ratio_estimation import _normal_ppf
+        rng = np.random.default_rng(5)
+        n = 200_000
+        q = np.concatenate([rng.uniform(0.0, 1.0, n),
+                            [0.0, 1.0, 0.5, 0.999, 0.75, 1e-300]])
+        loc = rng.normal(0.0, 10.0, q.size)
+        scale = rng.lognormal(0.0, 3.0, q.size)
+        reference = stats.norm.ppf(q, loc=loc, scale=scale)
+        np.testing.assert_array_equal(_normal_ppf(q, loc, scale), reference)
+        for quantile in (0.9, 0.99, 0.999):
+            assert _normal_ppf(quantile, np.float64(-1.25),
+                               np.float64(0.4)) == \
+                stats.norm.ppf(quantile, loc=-1.25, scale=0.4)
+
     def test_report_contains_all_estimators(self):
         scores = self.synthetic_scores(0.05)
         report = ratio_report(scores, true_ratio=0.05)

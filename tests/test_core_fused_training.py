@@ -225,6 +225,38 @@ class TestFloat32Default:
             assert param.data.dtype == np.float64
 
 
+class TestStageOutputs:
+    """Each finished stage feeds the Eq. 8 running sum with one frozen
+    forward pass, except the last: nothing trains against its mean."""
+
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    def test_fit_makes_one_pass_per_model_but_the_last(self, monkeypatch,
+                                                       n_models):
+        from repro.core.fused_training import FusedEnsembleTrainer
+        passes, outputs = [], []
+        stage_output = FusedEnsembleTrainer._stage_output
+        train_model = FusedEnsembleTrainer.train_model
+
+        def counting_stage_output(self, leaves, windows_cf):
+            passes.append(windows_cf.shape[1])
+            return stage_output(self, leaves, windows_cf)
+
+        def recording_train_model(self, *args, **kwargs):
+            records, output = train_model(self, *args, **kwargs)
+            outputs.append(output)
+            return records, output
+
+        monkeypatch.setattr(FusedEnsembleTrainer, "_stage_output",
+                            counting_stage_output)
+        monkeypatch.setattr(FusedEnsembleTrainer, "train_model",
+                            recording_train_model)
+        _, fused = make_pair(2, n_models, "float32")
+        fused.fit(make_series(2))
+        assert passes == [96] * (n_models - 1)
+        assert outputs[-1] is None
+        assert all(output.shape == (96, 8, 2) for output in outputs[:-1])
+
+
 class TestLegacySwitch:
     """``fused_training`` survives only as an input that stores nothing."""
 

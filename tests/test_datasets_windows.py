@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.datasets.windows import (observation_index_of_window_entry,
                                     pad_series_for_full_scores,
-                                    sliding_windows, window_count,
+                                    sample_windows, sliding_windows,
+                                    window_count,
                                     window_scores_to_observation_scores)
 
 
@@ -68,6 +69,43 @@ class TestSlidingWindows:
         for i in range(windows.shape[0]):
             np.testing.assert_array_equal(
                 windows[i, :, 0], np.arange(i, i + window, dtype=float))
+
+
+class TestSampleWindows:
+    """The capped training subsample, gathered from the strided view."""
+
+    @staticmethod
+    def copy_then_index(series, window, cap, rng):
+        """The materialise-everything form the helper replaces."""
+        windows = np.array(sliding_windows(series, window))
+        if cap is not None and windows.shape[0] > cap:
+            keep = rng.choice(windows.shape[0], size=cap, replace=False)
+            windows = windows[np.sort(keep)]
+        return windows
+
+    @pytest.mark.parametrize("length, window, cap", [
+        (300, 16, 64), (300, 16, 285), (300, 16, 284), (300, 16, 1000),
+        (300, 16, None), (40, 8, 1), (17, 16, 1),
+    ])
+    def test_same_rows_and_same_generator_state(self, length, window, cap):
+        series = np.random.default_rng(length).standard_normal((length, 3))
+        old_rng, new_rng = (np.random.default_rng(9),
+                            np.random.default_rng(9))
+        expected = self.copy_then_index(series, window, cap, old_rng)
+        sampled = sample_windows(series, window, cap, new_rng)
+        np.testing.assert_array_equal(sampled, expected)
+        assert sampled.dtype == expected.dtype
+        assert old_rng.bit_generator.state == new_rng.bit_generator.state
+        # The following draw agrees too: the generators are in step.
+        assert old_rng.integers(2 ** 32) == new_rng.integers(2 ** 32)
+
+    def test_returns_an_owned_contiguous_array(self):
+        series = np.arange(60.0).reshape(30, 2)
+        for cap in (5, None):
+            sampled = sample_windows(series, 4, cap,
+                                     np.random.default_rng(0))
+            assert sampled.flags.c_contiguous and sampled.flags.writeable
+            assert not np.shares_memory(sampled, series)
 
 
 class TestScoreMapping:

@@ -14,11 +14,15 @@ import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# Every module whose docstrings carry runnable examples (the CI doctest
-# lane runs --doctest-modules over the same set).
+# Every module whose docstrings carry runnable examples (both CI doctest
+# lanes run --doctest-modules over the same set; the scan below keeps the
+# list complete).
 DOCTESTED_MODULES = [
+    "repro.faults",
     "repro.metrics.events",
+    "repro.nn.tensor",
     "repro.obs",
+    "repro.runtime.supervisor",
     "repro.serving.protocol",
     "repro.streaming.admission",
     "repro.obs.exporters",
@@ -104,6 +108,51 @@ class TestDoctests:
         assert result.attempted > 0, (
             f"{module_name} is in DOCTESTED_MODULES but carries no "
             f"doctests")
+
+    # The package docstring's quickstart trains a model; the README copy
+    # of it runs in test_quickstart_snippet_runs_as_written instead.
+    EXEMPT = {"repro"}
+
+    def test_every_module_with_examples_is_listed(self):
+        src = REPO_ROOT / "src"
+        carrying = set()
+        for path in (src / "repro").rglob("*.py"):
+            if ">>>" not in path.read_text():
+                continue
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            carrying.add(".".join(parts))
+        missing = sorted(carrying - set(DOCTESTED_MODULES) - self.EXEMPT)
+        assert missing == [], (
+            f"modules with doctests missing from DOCTESTED_MODULES: "
+            f"{missing}")
+
+    def test_ci_doctest_lanes_run_the_listed_modules(self):
+        """Every CI doctest lane names the same paths, and they cover
+        every listed module."""
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml") \
+            .read_text()
+        lanes = []
+        for command in workflow.split("--doctest-modules")[1:]:
+            paths = []
+            for token in command.split():
+                if token == "\\":
+                    continue
+                if not token.startswith("src/"):
+                    break
+                paths.append(token)
+            lanes.append(paths)
+        assert len(lanes) == 2, lanes
+        assert lanes[0] == lanes[1], lanes
+        uncovered = []
+        for module in DOCTESTED_MODULES:
+            stem = "src/" + module.replace(".", "/")
+            if not any(path in (stem, stem + ".py") or
+                       stem.startswith(path.rstrip("/") + "/")
+                       for path in lanes[0]):
+                uncovered.append(module)
+        assert uncovered == [], f"no CI doctest lane runs {uncovered}"
 
     def test_quickstart_snippet_runs_as_written(self):
         """The README's five-line quickstart, executed verbatim-ish on a

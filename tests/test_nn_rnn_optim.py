@@ -145,6 +145,11 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], betas=(1.0, 0.9))
 
+    @pytest.mark.parametrize("clip", [0.0, -1.0])
+    def test_rejects_non_positive_grad_clip(self, clip):
+        with pytest.raises(ValueError, match="grad_clip"):
+            Adam([Tensor([1.0], requires_grad=True)], grad_clip=clip)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, rng):
