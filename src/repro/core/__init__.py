@@ -22,8 +22,7 @@ from .persistence import (CheckpointError, load_ensemble, load_fleet,
                           validate_sharded_checkpoint,
                           verify_checkpoint)
 from .ratio_estimation import (elbow_ratio_estimate, estimate_outlier_ratio,
-                               gaussian_tail_estimate, mad_ratio_estimate,
-                               ratio_report)
+                               gaussian_tail_estimate, mad_ratio_estimate)
 from .repair import (RepairResult, ensemble_reconstruction,
                      interpolate_over_mask, repair_quality, repair_series)
 from .transfer import TransferReport, transfer_parameters
@@ -43,7 +42,7 @@ __all__ = [
     "interpolate_over_mask", "load_ensemble", "load_fleet",
     "load_sharded_fleet",
     "load_streaming_detector", "mad_ratio_estimate", "median_trial",
-    "paper_config", "pairwise_diversity", "ratio_report",
+    "paper_config", "pairwise_diversity",
     "reconstruction_loss", "repair_quality", "repair_series",
     "save_ensemble", "save_fleet", "save_sharded_fleet",
     "save_streaming_detector",

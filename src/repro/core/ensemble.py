@@ -161,23 +161,25 @@ class CAEEnsemble:
                         self.models[-1], model,
                         self.config.transfer_fraction, self._rng)
                     self.transfer_reports.append(report)
-                frozen_mean = (ensemble_sum / model_index
-                               if model_index > 0 and ensemble_sum is not None
-                               else None)
+                # The mean is a temporary: the trainer keeps only its own
+                # compute-dtype copy, so no float64 mean outlives that cast.
                 stage_records, output = trainer.train_model(
-                    model, model_index, frozen_mean, self._rng,
-                    verbose=verbose)
+                    model, model_index,
+                    None if ensemble_sum is None
+                    else ensemble_sum / model_index,
+                    self._rng, verbose=verbose)
                 for epoch, loss, j_value, k_value in stage_records:
                     self.history.append(EpochRecord(
                         model_index=model_index, epoch=epoch, loss=loss,
                         reconstruction=j_value, diversity=k_value))
                 self.models.append(model)
-                if model_index + 1 == self.config.n_models:
-                    break   # nothing trains against the last mean
+                if output is None or model_index + 1 == self.config.n_models:
+                    continue   # λ = 0 or the last model: no mean is read
                 if ensemble_sum is None:
                     ensemble_sum = output
                 else:
                     ensemble_sum += output
+                del output   # the sum holds it; free it before next stage
         except BaseException:
             # Restore the exact pre-fit state: a failed or cancelled refit
             # keeps serving its previous generation, a fresh build stays

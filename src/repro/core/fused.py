@@ -474,12 +474,6 @@ class FusedEnsembleScorer:
                 raise ValueError(f"unknown pack key {key!r}")
         return self
 
-    def pack_fingerprint(self) -> str:
-        """Content fingerprint of the packed weights (see
-        :func:`fingerprint_arrays`)."""
-        _, arrays = self.export_pack()
-        return fingerprint_arrays(arrays)
-
     # ------------------------------------------------------------------
     # Batched layers
     # ------------------------------------------------------------------

@@ -21,8 +21,9 @@ keeps the stage structure and instead fuses *within* each stage:
   re-evaluations;
 * the frozen-ensemble output of a finished stage is produced by the same
   batched forward under ``no_grad``, in training-batch chunks so its
-  activations stay a training step's size; the last stage's output is
-  skipped, since no later model trains against it.
+  activations stay a training step's size; it is skipped for the last
+  stage and for every stage of a ``diversity_weight == 0`` fit, since no
+  later model reads it.
 
 Equivalence contract (``tests/test_core_fused_training.py``): the test
 suite keeps the per-module float64 loop as an oracle,
@@ -196,9 +197,11 @@ class FusedEnsembleTrainer:
         """Train one basic model and return its epoch records and frozen
         output over all training windows, ``(N, w, out)`` float64.
 
-        The last basic model (``model_index + 1 == config.n_models``)
-        returns ``None`` as its output: nothing trains against the Eq. 8
-        mean after it, so its frozen forward is skipped.
+        The output is ``None`` when no later model reads the Eq. 8 mean:
+        for the last basic model (``model_index + 1 == config.n_models``)
+        and for every model of a ``diversity_weight == 0`` fit.  Its
+        frozen forward is then skipped.  ``frozen_ensemble`` is released
+        once its compute-dtype copy is made.
 
         ``rng`` is the ensemble's generator; exactly one
         ``permutation(n)`` is drawn per epoch — the same consumption as
@@ -217,6 +220,7 @@ class FusedEnsembleTrainer:
         frozen_cf = np.ascontiguousarray(
             frozen_ensemble.transpose(2, 0, 1), dtype=self.dtype) \
             if use_diversity else None
+        del frozen_ensemble
         observations = self.cae_config.reconstruct == "observations"
         records: List[StageRecord] = []
         previous_loss: Optional[float] = None
@@ -262,8 +266,10 @@ class FusedEnsembleTrainer:
                     break
             previous_loss = record[2]
         self._write_back(leaves, model)
-        if model_index + 1 == config.n_models:
+        if model_index + 1 == config.n_models or \
+                config.diversity_weight == 0.0:
             return records, None
+        del frozen_cf   # the frozen pass below does not read it
         return records, self._stage_output(leaves, windows_cf)
 
     def _stage_output(self, leaves: Dict[str, Tensor],

@@ -24,8 +24,6 @@ with three estimators of increasing sophistication:
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 
@@ -110,17 +108,3 @@ def estimate_outlier_ratio(scores: np.ndarray) -> float:
     estimates = [mad_ratio_estimate(scores), elbow_ratio_estimate(scores),
                  gaussian_tail_estimate(scores)]
     return float(np.median(estimates))
-
-
-def ratio_report(scores: np.ndarray,
-                 true_ratio: float = None) -> Dict[str, float]:
-    """All estimates side by side (plus the truth when known, for evals)."""
-    report = {
-        "mad": mad_ratio_estimate(scores),
-        "elbow": elbow_ratio_estimate(scores),
-        "gaussian_tail": gaussian_tail_estimate(scores),
-        "combined": estimate_outlier_ratio(scores),
-    }
-    if true_ratio is not None:
-        report["true"] = float(true_ratio)
-    return report

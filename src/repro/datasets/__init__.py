@@ -3,17 +3,14 @@ plus windowing and pre-processing utilities shared by every model."""
 
 from .preprocess import StandardScaler, train_validation_split
 from .registry import (DATASET_NAMES, PAPER_DIMS, PAPER_OUTLIER_RATIOS,
-                       TimeSeriesDataset, load_all, load_dataset, make_ecg,
-                       make_msl, make_smap, make_smd, make_wadi)
-from .windows import (observation_index_of_window_entry,
-                      pad_series_for_full_scores, sliding_windows,
-                      window_count, window_scores_to_observation_scores)
+                       TimeSeriesDataset, load_dataset, make_ecg, make_msl,
+                       make_smap, make_smd, make_wadi)
+from .windows import (sliding_windows, window_count,
+                      window_scores_to_observation_scores)
 
 __all__ = [
     "DATASET_NAMES", "PAPER_DIMS", "PAPER_OUTLIER_RATIOS", "StandardScaler",
-    "TimeSeriesDataset", "load_all", "load_dataset", "make_ecg", "make_msl",
-    "make_smap", "make_smd", "make_wadi",
-    "observation_index_of_window_entry", "pad_series_for_full_scores",
-    "sliding_windows", "train_validation_split", "window_count",
-    "window_scores_to_observation_scores",
+    "TimeSeriesDataset", "load_dataset", "make_ecg", "make_msl", "make_smap",
+    "make_smd", "make_wadi", "sliding_windows", "train_validation_split",
+    "window_count", "window_scores_to_observation_scores",
 ]

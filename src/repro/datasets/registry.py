@@ -30,7 +30,7 @@ same arguments produce identical data.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -316,8 +316,3 @@ def load_dataset(name: str, seed: Optional[int] = None,
                                                                 scale=scale)
     dataset.validate()
     return dataset
-
-
-def load_all(scale: float = 1.0) -> List[TimeSeriesDataset]:
-    """All five datasets, in the paper's presentation order."""
-    return [load_dataset(name, scale=scale) for name in DATASET_NAMES]

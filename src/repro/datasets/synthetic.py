@@ -23,7 +23,7 @@ Three outlier families cover the phenomenology discussed in the paper:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,13 +37,6 @@ def sine_wave(period: float, amplitude: float = 1.0, phase: float = 0.0) -> Sign
     """Pure sinusoid — the basic seasonal component."""
     def component(t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return amplitude * np.sin(2.0 * np.pi * t / period + phase)
-    return component
-
-
-def linear_trend(slope: float, intercept: float = 0.0) -> SignalFn:
-    """Linear drift, e.g. slowly filling disk / battery drain."""
-    def component(t: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return slope * t + intercept
     return component
 
 

@@ -92,21 +92,3 @@ def window_scores_to_observation_scores(window_scores: np.ndarray,
     if n > 1:
         out[window:] = window_scores[1:, -1]
     return out
-
-
-def observation_index_of_window_entry(window_index: int, offset: int,
-                                      stride: int = 1) -> int:
-    """Original-series index of entry ``offset`` inside window ``window_index``."""
-    return window_index * stride + offset
-
-
-def pad_series_for_full_scores(series: np.ndarray, window: int) -> np.ndarray:
-    """Left-pad a series by repeating its first row ``window - 1`` times.
-
-    Used in streaming mode so that even the first ``window - 1``
-    observations receive a score from a full window.
-    """
-    if series.ndim != 2:
-        raise ValueError(f"expected (L, D) series, got shape {series.shape}")
-    pad = np.repeat(series[:1], window - 1, axis=0)
-    return np.concatenate([pad, series], axis=0)

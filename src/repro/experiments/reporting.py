@@ -7,7 +7,7 @@ eyeballed from a terminal, and diffed in CI.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence],
@@ -58,28 +58,3 @@ def format_series(x_label: str, xs: Sequence,
             row.append(float(named_series[name][i]))
         rows.append(row)
     return format_table(headers, rows, title=title, float_format=float_format)
-
-
-def paired_row(measured: Tuple[float, ...],
-               paper: Optional[Tuple[float, ...]]) -> List[str]:
-    """'measured (paper)' cells for side-by-side comparison tables."""
-    cells = []
-    for i, value in enumerate(measured):
-        if paper is None:
-            cells.append(f"{value:.4f}")
-        else:
-            cells.append(f"{value:.4f} ({paper[i]:.4f})")
-    return cells
-
-
-def highlight_best(values: Dict[str, float], larger_is_better: bool = True
-                   ) -> str:
-    """Name of the best entry (ties broken by insertion order)."""
-    if not values:
-        raise ValueError("no values to compare")
-    chooser = max if larger_is_better else min
-    best_value = chooser(values.values())
-    for name, value in values.items():
-        if value == best_value:
-            return name
-    raise AssertionError("unreachable")

@@ -5,15 +5,14 @@ from typing import Dict
 
 import numpy as np
 
-from .auc import pr_auc, precision_recall_curve, roc_auc, roc_curve
+from .auc import pr_auc, precision_recall_curve, roc_auc
 from .classification import (ConfusionCounts, confusion_counts, f1_score,
                              precision_recall_f1, precision_score,
                              recall_score)
-from .events import (EventReport, FleetRefreshReport, RuntimeReport,
-                     StreamReport, event_report, fleet_refresh_report,
-                     fleet_refresh_report_from_registry, label_segments,
-                     point_adjust, point_adjusted_prf, runtime_report,
-                     stream_event_report)
+from .events import (FleetRefreshReport, RuntimeReport, StreamReport,
+                     fleet_refresh_report, fleet_refresh_report_from_registry,
+                     label_segments, point_adjust, point_adjusted_prf,
+                     runtime_report, stream_event_report)
 from .thresholding import (ThresholdResult, apply_threshold,
                            best_f1_threshold, evaluate_at_ratio,
                            evaluate_top_k, top_k_threshold)
@@ -43,14 +42,13 @@ def accuracy_report(labels: np.ndarray, scores: np.ndarray) -> AccuracyReport:
 
 
 __all__ = [
-    "AccuracyReport", "ConfusionCounts", "EventReport",
-    "FleetRefreshReport", "RuntimeReport", "StreamReport",
-    "ThresholdResult", "accuracy_report", "apply_threshold",
-    "best_f1_threshold", "confusion_counts", "evaluate_at_ratio",
-    "evaluate_top_k", "event_report", "f1_score", "fleet_refresh_report",
-    "fleet_refresh_report_from_registry", "label_segments", "point_adjust",
-    "point_adjusted_prf", "pr_auc", "precision_recall_curve",
-    "precision_recall_f1", "precision_score", "recall_score", "roc_auc",
-    "roc_curve", "runtime_report", "stream_event_report",
+    "AccuracyReport", "ConfusionCounts", "FleetRefreshReport",
+    "RuntimeReport", "StreamReport", "ThresholdResult", "accuracy_report",
+    "apply_threshold", "best_f1_threshold", "confusion_counts",
+    "evaluate_at_ratio", "evaluate_top_k", "f1_score",
+    "fleet_refresh_report", "fleet_refresh_report_from_registry",
+    "label_segments", "point_adjust", "point_adjusted_prf", "pr_auc",
+    "precision_recall_curve", "precision_recall_f1", "precision_score",
+    "recall_score", "roc_auc", "runtime_report", "stream_event_report",
     "top_k_threshold",
 ]

@@ -26,28 +26,6 @@ def _validate(labels: np.ndarray, scores: np.ndarray
     return labels, scores
 
 
-def roc_curve(labels: np.ndarray, scores: np.ndarray
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fpr, tpr, thresholds), thresholds descending, ties merged."""
-    labels, scores = _validate(labels, scores)
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # Keep only the last index of each tied block.
-    distinct = np.flatnonzero(np.diff(sorted_scores) != 0)
-    boundary = np.concatenate([distinct, [labels.size - 1]])
-    tps = np.cumsum(sorted_labels)[boundary].astype(np.float64)
-    fps = (boundary + 1.0) - tps
-    n_pos = float(labels.sum())
-    n_neg = float(labels.size - labels.sum())
-    tpr = np.concatenate([[0.0], tps / n_pos]) if n_pos else \
-        np.zeros(boundary.size + 1)
-    fpr = np.concatenate([[0.0], fps / n_neg]) if n_neg else \
-        np.zeros(boundary.size + 1)
-    thresholds = np.concatenate([[np.inf], sorted_scores[boundary]])
-    return fpr, tpr, thresholds
-
-
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve (probability a random outlier outranks a
     random inlier; ties counted half — the Mann-Whitney U statistic)."""

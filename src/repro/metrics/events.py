@@ -3,19 +3,13 @@
 Section 4.2.1 of the paper analyses why point-wise recall is structurally
 low on datasets like WADI: ground truth marks *whole intervals* as
 anomalous although only a few observations inside truly deviate
-(Figures 11-12).  Two evaluation protocols from the literature handle
-this, and both are provided so the reproduction can quantify the effect:
+(Figures 11-12).  **Point-adjust** (Xu et al. 2018, used by OmniAnomaly)
+handles this, and is provided so the reproduction can quantify the
+effect: if *any* observation inside a ground-truth anomaly segment is
+flagged, every observation of the segment counts as detected.
+Point-wise metrics are then computed on the adjusted predictions.
 
-* **point-adjust** (Xu et al. 2018, used by OmniAnomaly): if *any*
-  observation inside a ground-truth anomaly segment is flagged, every
-  observation of the segment counts as detected.  Point-wise metrics are
-  then computed on the adjusted predictions;
-* **event-wise recall/precision**: a ground-truth segment counts as one
-  event, detected if at least one of its observations is flagged;
-  precision stays point-wise over normal regions (false alarms are
-  per-observation costs for an operator).
-
-For *streaming* runs (``repro.streaming``) a third view matters: how
+For *streaming* runs (``repro.streaming``) a second view matters: how
 *quickly* each injected anomaly segment was caught after it started, and
 how often the drift layer fired.  :func:`stream_event_report` computes
 per-segment detection latency from the engine's alert indices and carries
@@ -79,41 +73,6 @@ def point_adjusted_prf(labels: np.ndarray, predictions: np.ndarray
                        ) -> Tuple[float, float, float]:
     """Precision/Recall/F1 after point-adjustment."""
     return precision_recall_f1(labels, point_adjust(labels, predictions))
-
-
-@dataclasses.dataclass(frozen=True)
-class EventReport:
-    """Event-level detection summary."""
-    n_events: int
-    n_detected: int
-    event_recall: float
-    point_precision: float
-    f1: float
-
-
-def event_report(labels: np.ndarray, predictions: np.ndarray) -> EventReport:
-    """Event recall (segments hit) with point-wise precision.
-
-    F1 combines event recall with point precision — the hybrid score used
-    when operators care about catching incidents but pay per false alarm.
-    """
-    labels = np.asarray(labels).astype(np.int64).reshape(-1)
-    predictions = np.asarray(predictions).astype(np.int64).reshape(-1)
-    if labels.shape != predictions.shape:
-        raise ValueError(f"labels {labels.shape} vs predictions "
-                         f"{predictions.shape}")
-    segments = label_segments(labels)
-    detected = sum(1 for start, stop in segments
-                   if predictions[start:stop].any())
-    recall = detected / len(segments) if segments else 0.0
-    flagged = int(predictions.sum())
-    true_flags = int((predictions & labels).sum())
-    precision = true_flags / flagged if flagged else 0.0
-    denominator = precision + recall
-    f1 = 2 * precision * recall / denominator if denominator else 0.0
-    return EventReport(n_events=len(segments), n_detected=detected,
-                       event_recall=recall, point_precision=precision,
-                       f1=f1)
 
 
 @dataclasses.dataclass(frozen=True)

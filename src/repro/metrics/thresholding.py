@@ -11,7 +11,6 @@ Implements the paper's two 'specific threshold' settings (Section 4.1.3):
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
 
 import numpy as np
 
@@ -25,9 +24,6 @@ class ThresholdResult:
     precision: float
     recall: float
     f1: float
-
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return self.precision, self.recall, self.f1
 
 
 def apply_threshold(scores: np.ndarray, threshold: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 """``repro.nn`` — a from-scratch NumPy deep-learning substrate.
 
 The paper's reference implementation is written against PyTorch; this
-package provides the equivalent facilities (reverse-mode autograd, layers,
-optimisers, serialisation) so the reproduction is fully self-contained.
+package provides the facilities the reproduction uses (reverse-mode
+autograd, the layers its models are built from, the Adam optimiser and
+state-dict serialisation) so it is fully self-contained.
 """
 
 from . import functional, init
@@ -11,29 +12,24 @@ from .batched import (batched_attention, batched_conv1d, batched_glu,
                       batched_shift_right, fused_training_loss)
 from .conv import conv1d, resolve_padding
 from .gradcheck import gradcheck, numerical_gradient
-from .lr_scheduler import (CosineAnnealingLR, ExponentialLR, LRScheduler,
-                           StepLR)
-from .modules import (Conv1d, Dropout, Embedding, Linear, Module, Parameter,
-                      ReLU, Sequential, Sigmoid, Tanh)
-from .optim import SGD, Adam, Optimizer, RMSProp
+from .modules import Conv1d, Embedding, Linear, Module, Parameter
+from .optim import Adam, Optimizer
 from .rnn import GRUCell, LSTM, LSTMCell
-from .serialization import load_into, load_state_dict, save_state_dict
+from .serialization import load_state_dict, save_state_dict
 from .tensor import (Tensor, as_tensor, concatenate, default_dtype,
                      inference_dtype, inference_precision, is_grad_enabled,
-                     no_grad, ones, randn, set_default_dtype,
-                     set_inference_dtype, stack, tensor, where, zeros)
+                     no_grad, ones, set_default_dtype, set_inference_dtype,
+                     stack, tensor, where, zeros)
 
 __all__ = [
-    "Adam", "Conv1d", "CosineAnnealingLR", "Dropout", "Embedding",
-    "ExponentialLR", "GRUCell", "LRScheduler", "LSTM", "LSTMCell", "Linear",
-    "Module", "Optimizer", "Parameter", "RMSProp", "ReLU", "SGD",
-    "Sequential", "Sigmoid", "StepLR", "Tanh", "Tensor", "as_tensor",
+    "Adam", "Conv1d", "Embedding", "GRUCell", "LSTM", "LSTMCell", "Linear",
+    "Module", "Optimizer", "Parameter", "Tensor", "as_tensor",
     "batched_attention", "batched_conv1d", "batched_glu",
     "batched_linear_cf", "batched_relu_residual", "batched_shift_right",
     "concatenate", "conv1d", "default_dtype", "functional",
     "fused_training_loss", "gradcheck", "inference_dtype",
-    "inference_precision", "init", "is_grad_enabled", "load_into",
-    "load_state_dict", "no_grad", "numerical_gradient", "ones", "randn",
-    "resolve_padding", "save_state_dict", "set_default_dtype",
-    "set_inference_dtype", "stack", "tensor", "where", "zeros",
+    "inference_precision", "init", "is_grad_enabled", "load_state_dict",
+    "no_grad", "numerical_gradient", "ones", "resolve_padding",
+    "save_state_dict", "set_default_dtype", "set_inference_dtype", "stack",
+    "tensor", "where", "zeros",
 ]

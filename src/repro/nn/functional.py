@@ -1,10 +1,10 @@
 """Free-function neural-network operations built on the autograd engine.
 
 These compose :class:`repro.nn.tensor.Tensor` primitives into the building
-blocks the paper's models need: softmax/attention math, the losses of
-Eqs. 1, 11 and 12, padding for the convolutional encoder/decoder, dropout
-for the AE-Ensemble baseline and the reparameterisation trick for the
-variational baselines (RNNVAE, OmniAnomaly).
+blocks the paper's models need: softmax/attention math, the reconstruction
+loss of Eqs. 1 and 11, padding for the convolutional encoder/decoder and
+the reparameterisation trick for the variational baselines (RNNVAE,
+OmniAnomaly).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, concatenate, no_grad
+from .tensor import Tensor, as_tensor
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -24,30 +24,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     """Mean squared error — the autoencoder objective of Eq. 1 / Eq. 11."""
     prediction, target = as_tensor(prediction), as_tensor(target)
     diff = prediction - target.detach()
-    return (diff * diff).mean()
-
-
-def sse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Sum-of-squares error (un-averaged variant of Eq. 11)."""
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = prediction - target.detach()
-    return (diff * diff).sum()
-
-
-def l2_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared distance between two model outputs (diversity, Eq. 12)."""
-    a, b = as_tensor(a), as_tensor(b)
-    diff = a - b
     return (diff * diff).mean()
 
 
@@ -72,17 +52,6 @@ def pad1d(x: Tensor, left: int, right: int, value: float = 0.0) -> Tensor:
             a._accumulate(grad[tuple(index)])
 
     return Tensor._from_op(data, (x,), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout. Identity when ``training`` is False or ``p`` == 0."""
-    if not training or p <= 0.0:
-        return as_tensor(x)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return as_tensor(x) * Tensor(mask)
 
 
 def gaussian_reparameterize(mu: Tensor, logvar: Tensor,

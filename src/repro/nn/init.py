@@ -41,28 +41,11 @@ def normal_(param: Tensor, mean: float, std: float,
     return param
 
 
-def zeros_(param: Tensor) -> Tensor:
-    param.data[...] = 0.0
-    return param
-
-
-def ones_(param: Tensor) -> Tensor:
-    param.data[...] = 1.0
-    return param
-
-
 def xavier_uniform_(param: Tensor, rng: np.random.Generator,
                     gain: float = 1.0) -> Tensor:
     fan_in, fan_out = _fan_in_out(param.shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return uniform_(param, -bound, bound, rng)
-
-
-def xavier_normal_(param: Tensor, rng: np.random.Generator,
-                   gain: float = 1.0) -> Tensor:
-    fan_in, fan_out = _fan_in_out(param.shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return normal_(param, 0.0, std, rng)
 
 
 def kaiming_uniform_(param: Tensor, rng: np.random.Generator,

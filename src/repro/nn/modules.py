@@ -3,7 +3,7 @@
 Provides the same ergonomics the paper's PyTorch implementation relies on —
 ``Module`` with recursive parameter discovery, ``state_dict`` round-trips
 (needed by the ensemble's parameter-transfer step, Fig. 9) and a handful of
-concrete layers (``Linear``, ``Conv1d``, ``Embedding``, activations).
+concrete layers (``Linear``, ``Conv1d``, ``Embedding``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from . import init as nn_init
 from .conv import PaddingSpec, conv1d
-from .functional import dropout as f_dropout
 from .functional import linear as f_linear
 from .tensor import Tensor
 
@@ -170,54 +169,3 @@ class Embedding(Module):
             raise IndexError(f"embedding index out of range "
                              f"[0, {self.num_embeddings})")
         return self.weight[indices]
-
-
-class Sequential(Module):
-    """Chains modules; each must map one tensor to one tensor."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._order: List[str] = []
-        for i, module in enumerate(modules):
-            setattr(self, f"layer{i}", module)
-            self._order.append(f"layer{i}")
-
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x
-
-    def __iter__(self):
-        return (getattr(self, name) for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return f_dropout(x, self.p, self._rng, training=self.training)

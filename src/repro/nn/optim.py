@@ -1,8 +1,7 @@
 """Gradient-descent optimisers.
 
-The paper trains every model with Adam (Kingma & Ba 2015) at learning rate
-1e-3 (Section 4.1.5); SGD with momentum is provided for the substrate's
-completeness and for optimiser-sensitivity ablations.
+The paper trains every model with Adam (Kingma & Ba 2015) at a fixed
+learning rate of 1e-3 (Section 4.1.5), so Adam is the only optimiser.
 """
 
 from __future__ import annotations
@@ -28,62 +27,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
-
-
-class RMSProp(Optimizer):
-    """RMSProp (Tieleman & Hinton 2012): adaptive per-parameter rates."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 alpha: float = 0.99, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        self.lr = lr
-        self.alpha = alpha
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._square_avg = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, square_avg in zip(self.params, self._square_avg):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            square_avg *= self.alpha
-            square_avg += (1.0 - self.alpha) * grad * grad
-            param.data -= self.lr * grad / (np.sqrt(square_avg) + self.eps)
 
 
 class Adam(Optimizer):

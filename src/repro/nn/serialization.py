@@ -26,8 +26,3 @@ def load_state_dict(path: str) -> Dict[str, np.ndarray]:
     with np.load(path) as archive:
         return {key: archive[key] for key in archive.files}
 
-
-def load_into(path: str, module: Module, strict: bool = True) -> Module:
-    """Load a checkpoint directly into ``module`` and return it."""
-    module.load_state_dict(load_state_dict(path), strict=strict)
-    return module

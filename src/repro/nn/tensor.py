@@ -569,14 +569,6 @@ def ones(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
-def randn(*shape, rng: Optional[np.random.Generator] = None,
-          requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    rng = rng or np.random.default_rng()
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [as_tensor(t) for t in tensors]

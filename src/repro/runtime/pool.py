@@ -318,14 +318,6 @@ class ProcessBuildPool:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def release_pack(self, manifest: dict) -> bool:
-        """Unlink one published pack (e.g. after its generation was
-        superseded everywhere)."""
-        with self._lock:
-            self._manifests = [m for m in self._manifests
-                               if m["segment"] != manifest["segment"]]
-        return shm.unlink_pack(manifest)
-
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop the workers and unlink every pack this pool published.
 

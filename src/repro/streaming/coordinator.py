@@ -78,6 +78,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import inspect
+import os
+import sys
 import threading
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -694,6 +696,8 @@ class RefreshCoordinator:
 
     def _run(self, build) -> None:
         """A build thread: run attempts until the core stops retrying."""
+        if self.build_runner is None:
+            _yield_cores_to_serving()   # this thread trains
         job: _BuildJob = build.payload
         root, admission = job.trace if job.trace is not None \
             else (None, None)
@@ -785,6 +789,25 @@ class RefreshCoordinator:
             kwargs["cancel"] = job.cancel
         return job.refresher.build(job.ensemble, job.history,
                                    job.trigger_index, **kwargs)
+
+
+def _yield_cores_to_serving() -> None:
+    """Drop the calling build thread to the lowest CPU priority.
+
+    An in-process build and its BLAS helpers can outnumber the host's
+    cores; at equal priority the scheduler then preempts the serving
+    thread for a whole slice (~4-5 ms), which sets an async refresh's p99
+    update latency.  At nice 19 a runnable serving thread takes the core
+    at once and the build trains on what serving leaves idle.  Linux
+    only: there ``setpriority`` on a thread id acts on that thread alone,
+    and raising one's own niceness needs no privilege.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+    except OSError:
+        pass
 
 
 def _release(handles: List[RefreshHandle]) -> None:

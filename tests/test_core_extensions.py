@@ -7,8 +7,8 @@ from repro.core import (CAEConfig, CAEEnsemble, EnsembleConfig,
                         elbow_ratio_estimate, ensemble_reconstruction,
                         estimate_outlier_ratio, gaussian_tail_estimate,
                         interpolate_over_mask, load_ensemble,
-                        mad_ratio_estimate, ratio_report, repair_quality,
-                        repair_series, save_ensemble)
+                        mad_ratio_estimate, repair_quality, repair_series,
+                        save_ensemble)
 
 
 @pytest.fixture(scope="module")
@@ -172,12 +172,6 @@ class TestRatioEstimation:
             assert _normal_ppf(quantile, np.float64(-1.25),
                                np.float64(0.4)) == \
                 stats.norm.ppf(quantile, loc=-1.25, scale=0.4)
-
-    def test_report_contains_all_estimators(self):
-        scores = self.synthetic_scores(0.05)
-        report = ratio_report(scores, true_ratio=0.05)
-        assert set(report) == {"mad", "elbow", "gaussian_tail", "combined",
-                               "true"}
 
     def test_rejects_tiny_input(self):
         with pytest.raises(ValueError):

@@ -227,7 +227,8 @@ class TestFloat32Default:
 
 class TestStageOutputs:
     """Each finished stage feeds the Eq. 8 running sum with one frozen
-    forward pass, except the last: nothing trains against its mean."""
+    forward pass, except the last: nothing trains against its mean.  A
+    ``diversity_weight == 0`` fit reads no mean, so it makes no pass."""
 
     @pytest.mark.parametrize("n_models", [1, 2, 3])
     def test_fit_makes_one_pass_per_model_but_the_last(self, monkeypatch,
@@ -255,6 +256,42 @@ class TestStageOutputs:
         assert passes == [96] * (n_models - 1)
         assert outputs[-1] is None
         assert all(output.shape == (96, 8, 2) for output in outputs[:-1])
+
+    def test_zero_diversity_weight_makes_no_pass(self, monkeypatch):
+        """The skipped passes change nothing: the frozen forward draws no
+        RNG, so the scores equal those of a fit that makes every pass."""
+        from repro.core.fused_training import FusedEnsembleTrainer
+        passes = []
+        stage_output = FusedEnsembleTrainer._stage_output
+        train_model = FusedEnsembleTrainer.train_model
+
+        def counting_stage_output(self, leaves, windows_cf):
+            passes.append(windows_cf.shape[1])
+            return stage_output(self, leaves, windows_cf)
+
+        def eager_train_model(self, model, model_index, *args, **kwargs):
+            records, output = train_model(self, model, model_index, *args,
+                                          **kwargs)
+            if output is None and model_index + 1 < self.config.n_models:
+                output = self._stage_output(self._pack_leaves(model),
+                                            self._windows_cf)
+            return records, output
+
+        monkeypatch.setattr(FusedEnsembleTrainer, "_stage_output",
+                            counting_stage_output)
+        series = make_series(2)
+        lean, eager = make_pair(2, 4, "float32",
+                                ensemble_overrides={"diversity_weight": 0.0})
+        lean.fit(series)
+        assert passes == []
+        monkeypatch.setattr(FusedEnsembleTrainer, "train_model",
+                            eager_train_model)
+        eager.fit(series)
+        assert passes == [96] * 3
+        np.testing.assert_array_equal(history_rows(lean),
+                                      history_rows(eager))
+        np.testing.assert_array_equal(lean.score(series),
+                                      eager.score(series))
 
 
 class TestLegacySwitch:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import (DATASET_NAMES, PAPER_DIMS, PAPER_OUTLIER_RATIOS,
-                            load_all, load_dataset)
+                            load_dataset)
 
 
 class TestRegistryContract:
@@ -49,11 +49,6 @@ class TestRegistryContract:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             load_dataset("nonexistent")
-
-    def test_load_all_order(self):
-        datasets = load_all(scale=0.25)
-        assert [d.name for d in datasets] == list(DATASET_NAMES)
-
 
 class TestDatasetSemantics:
     def test_ecg_train_equals_test(self):

@@ -18,11 +18,6 @@ class TestSignalComponents:
         np.testing.assert_allclose(wave[0], wave[25], atol=1e-9)
         assert np.abs(wave).max() <= 2.0 + 1e-9
 
-    def test_linear_trend(self, rng):
-        t = np.arange(10.0)
-        trend = syn.linear_trend(slope=2.0, intercept=1.0)(t, rng)
-        np.testing.assert_allclose(trend, 2.0 * t + 1.0)
-
     def test_random_walk_is_cumulative(self, rng):
         t = np.arange(1000.0)
         walk = syn.random_walk(step_std=1.0)(t, rng)

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.windows import (observation_index_of_window_entry,
-                                    pad_series_for_full_scores,
-                                    sample_windows, sliding_windows,
+from repro.datasets.windows import (sample_windows, sliding_windows,
                                     window_count,
                                     window_scores_to_observation_scores)
 
@@ -137,25 +135,3 @@ class TestScoreMapping:
         scores = np.random.default_rng(1).random((n, window))
         out = window_scores_to_observation_scores(scores, window)
         np.testing.assert_array_equal(out[window:], scores[1:, -1])
-
-    def test_index_helper(self):
-        assert observation_index_of_window_entry(3, 2) == 5
-        assert observation_index_of_window_entry(3, 2, stride=2) == 8
-
-
-class TestPadding:
-    def test_pad_repeats_first_row(self):
-        series = np.array([[1.0, 2.0], [3.0, 4.0]])
-        padded = pad_series_for_full_scores(series, 3)
-        assert padded.shape == (4, 2)
-        np.testing.assert_array_equal(padded[0], [1.0, 2.0])
-        np.testing.assert_array_equal(padded[1], [1.0, 2.0])
-
-    def test_pad_makes_full_coverage(self):
-        series = np.random.default_rng(0).random((10, 2))
-        padded = pad_series_for_full_scores(series, 4)
-        assert window_count(padded.shape[0], 4) == 10
-
-    def test_pad_rejects_1d(self):
-        with pytest.raises(ValueError):
-            pad_series_for_full_scores(np.zeros(5), 3)

@@ -1,10 +1,12 @@
-"""Documentation stays true: intra-repo links resolve, doctests run.
+"""Documentation stays true: intra-repo links resolve, doctests run,
+and every name the examples import from ``repro`` exists.
 
 Ties the docs into tier-1: the CI docs lane runs the same link checker
 (``tools/check_links.py``) and ``pytest --doctest-modules``; these tests
 keep a plain local ``pytest`` run equally honest.
 """
 
+import ast
 import doctest
 import importlib
 import pathlib
@@ -37,10 +39,13 @@ DOCTESTED_MODULES = [
     "repro.streaming.refresh",
 ]
 
-MARKDOWN_FILES = ["README.md", "PAPER.md", "ROADMAP.md", "CHANGES.md",
-                  "docs/architecture.md", "docs/checkpoints.md",
-                  "docs/observability.md", "docs/performance.md",
-                  "docs/serving.md"]
+# The same files the CI link check names: README.md, docs/*.md and the
+# three top-level records.
+MARKDOWN_FILES = ["README.md", "PAPER.md", "ROADMAP.md", "CHANGES.md"] + [
+    path.relative_to(REPO_ROOT).as_posix()
+    for path in sorted((REPO_ROOT / "docs").glob("*.md"))]
+
+EXAMPLES = sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
 
 
 class TestIntraRepoLinks:
@@ -56,6 +61,9 @@ class TestIntraRepoLinks:
         failures = broken_links(path)
         assert failures == [], f"broken links in {name}: {failures}"
 
+    def test_link_check_covers_every_doc(self):
+        assert "docs/robustness.md" in MARKDOWN_FILES
+
     def test_required_documentation_exists(self):
         assert (REPO_ROOT / "README.md").exists()
         assert (REPO_ROOT / "docs" / "architecture.md").exists()
@@ -68,6 +76,25 @@ class TestIntraRepoLinks:
                        "Repository map", "Observability",
                        "repro.serving", "DetectionServer"):
             assert needle in readme, f"README lacks {needle!r}"
+
+
+class TestExamples:
+    """No test runs ``examples/`` end to end, so a deleted or renamed
+    public name would break an example silently.  Every name an example
+    imports with ``from repro... import`` (at any depth) must resolve."""
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_repro_imports_resolve(self, name):
+        tree = ast.parse((REPO_ROOT / "examples" / name).read_text())
+        missing = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{alias.name}"
+                            for alias in node.names
+                            if not hasattr(module, alias.name)]
+        assert missing == [], f"{name} imports missing names: {missing}"
 
 
 class TestClockDiscipline:

@@ -6,8 +6,8 @@ import pytest
 from repro.experiments import (BUDGETS, Budget, EXPERIMENTS,
                                EXPERIMENT_DESCRIPTIONS, FAST, MODEL_ORDER,
                                build_detector, dataset_hyperparameters,
-                               format_series, format_table, highlight_best,
-                               overall_average, run_detector, run_matrix)
+                               format_series, format_table, overall_average,
+                               run_detector, run_matrix)
 from repro.baselines import OutlierDetector
 from repro.datasets import load_dataset
 
@@ -33,13 +33,6 @@ class TestReporting:
                                            "R": [0.3, 0.4]})
         assert "K" in text and "P" in text and "R" in text
         assert "0.4000" in text
-
-    def test_highlight_best(self):
-        assert highlight_best({"a": 0.1, "b": 0.9}) == "b"
-        assert highlight_best({"a": 0.1, "b": 0.9},
-                              larger_is_better=False) == "a"
-        with pytest.raises(ValueError):
-            highlight_best({})
 
 
 class TestBudgets:

@@ -15,7 +15,6 @@ import pytest
 from repro.baselines import (IsolationForest, MovingAverageSmoothing, RAE)
 from repro.core import CAEConfig, CAEEnsemble, EnsembleConfig
 from repro.experiments.tables import sequential_depth_per_window
-from repro.experiments.reporting import paired_row
 from tests.test_runtime_processes import ProcessGatedRefresher
 
 
@@ -111,13 +110,6 @@ class TestHarnessHelpers:
         assert sequential_depth_per_window("CAE", 16, 2) == \
             sequential_depth_per_window("CAE", 256, 2) == 6
         assert sequential_depth_per_window("CAE-Ensemble", 16, 3) == 8
-
-    def test_paired_row_formats(self):
-        cells = paired_row((0.5, 0.25), (0.1, 0.2))
-        assert cells == ["0.5000 (0.1000)", "0.2500 (0.2000)"]
-
-    def test_paired_row_without_reference(self):
-        assert paired_row((0.5,), None) == ["0.5000"]
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.metrics import (AccuracyReport, accuracy_report, apply_threshold,
                            best_f1_threshold, confusion_counts,
                            evaluate_at_ratio, evaluate_top_k, f1_score,
                            pr_auc, precision_recall_curve, precision_recall_f1,
-                           precision_score, recall_score, roc_auc, roc_curve,
+                           precision_score, recall_score, roc_auc,
                            top_k_threshold)
 
 
@@ -78,14 +78,6 @@ class TestROC:
     def test_requires_both_classes(self):
         with pytest.raises(ValueError):
             roc_auc(np.array([1, 1]), np.array([0.1, 0.2]))
-
-    def test_curve_endpoints(self):
-        labels = np.array([0, 1, 0, 1, 1])
-        scores = np.array([0.2, 0.9, 0.4, 0.6, 0.3])
-        fpr, tpr, thresholds = roc_curve(labels, scores)
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-        assert np.all(np.diff(thresholds) <= 0)
 
     @given(n=st.integers(5, 60))
     @settings(max_examples=30, deadline=None)

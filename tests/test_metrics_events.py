@@ -1,12 +1,12 @@
-"""Event-level metrics: point-adjust and event reports (WADI semantics)."""
+"""Event-level metrics: point-adjust and stream reports (WADI semantics)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import (event_report, f1_score, label_segments,
-                           point_adjust, point_adjusted_prf, recall_score)
+from repro.metrics import (f1_score, label_segments, point_adjust,
+                           point_adjusted_prf, recall_score)
 
 
 class TestLabelSegments:
@@ -85,40 +85,6 @@ class TestPointAdjust:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             point_adjust(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
-
-
-class TestEventReport:
-    def test_counts(self):
-        labels = np.array([0, 1, 1, 0, 1, 0, 0])
-        predictions = np.array([0, 1, 0, 0, 0, 1, 0])
-        report = event_report(labels, predictions)
-        assert report.n_events == 2
-        assert report.n_detected == 1
-        assert report.event_recall == 0.5
-
-    def test_point_precision(self):
-        labels = np.array([0, 1, 1, 0])
-        predictions = np.array([1, 1, 0, 0])
-        report = event_report(labels, predictions)
-        assert report.point_precision == 0.5    # 1 of 2 flags correct
-
-    def test_no_events(self):
-        report = event_report(np.zeros(5, dtype=int),
-                              np.zeros(5, dtype=int))
-        assert report.n_events == 0
-        assert report.event_recall == 0.0
-        assert report.f1 == 0.0
-
-    def test_perfect_detection(self):
-        labels = np.array([0, 1, 1, 0, 1])
-        report = event_report(labels, labels)
-        assert report.event_recall == 1.0
-        assert report.point_precision == 1.0
-        assert report.f1 == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            event_report(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
 
 
 class TestStreamEventReport:

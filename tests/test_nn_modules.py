@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (Conv1d, Dropout, Embedding, Linear, Module, Parameter,
-                      ReLU, Sequential, Sigmoid, Tanh, Tensor)
+from repro.nn import Conv1d, Embedding, Linear, Module, Parameter, Tensor
 
 
 @pytest.fixture
@@ -160,41 +159,3 @@ class TestEmbedding:
         assert table.weight.grad is not None
         np.testing.assert_allclose(table.weight.grad[1], [2.0, 2.0, 2.0])
         np.testing.assert_allclose(table.weight.grad[0], [0.0, 0.0, 0.0])
-
-
-class TestSequentialAndActivations:
-    def test_sequential_chains(self, rng):
-        model = Sequential(Linear(3, 4, rng), ReLU(), Linear(4, 2, rng))
-        assert model(Tensor(np.zeros((5, 3)))).shape == (5, 2)
-        assert len(model) == 3
-
-    def test_sequential_collects_parameters(self, rng):
-        model = Sequential(Linear(3, 4, rng), Tanh(), Linear(4, 2, rng))
-        assert model.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
-
-    def test_activation_modules(self, rng):
-        x = Tensor(np.array([-1.0, 1.0]))
-        np.testing.assert_allclose(ReLU()(x).data, [0.0, 1.0])
-        np.testing.assert_allclose(Tanh()(x).data, np.tanh([-1.0, 1.0]))
-        np.testing.assert_allclose(Sigmoid()(x).data,
-                                   1 / (1 + np.exp([1.0, -1.0])))
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        layer.eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_training_scales_survivors(self, rng):
-        layer = Dropout(0.5, rng)
-        out = layer(Tensor(np.ones((100, 100)))).data
-        survivors = out[out != 0]
-        np.testing.assert_allclose(survivors, 2.0)
-
-    def test_invalid_probability(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-        with pytest.raises(ValueError):
-            Dropout(-0.1, rng)

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn import (Adam, GRUCell, LSTM, LSTMCell, Linear, SGD, Tensor,
-                      load_into, load_state_dict, save_state_dict)
+from repro.nn import (Adam, GRUCell, LSTM, LSTMCell, Linear, Tensor,
+                      load_state_dict, save_state_dict)
 from repro.nn.functional import mse_loss
 
 
@@ -70,42 +70,6 @@ class TestLSTMModule:
         np.testing.assert_allclose(out.data[:, -1, :], h.data)
 
 
-class TestSGD:
-    def test_plain_step(self, rng):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([0.5])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95])
-
-    def test_momentum_accumulates(self, rng):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()
-        first = p.data.copy()
-        p.grad = np.array([1.0])
-        opt.step()
-        assert (first - p.data) > 1.0   # second step larger: velocity built
-
-    def test_quadratic_convergence(self, rng):
-        p = Tensor(np.array([5.0]), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = (p * p).sum()
-            loss.backward()
-            opt.step()
-        assert abs(p.item()) < 1e-4
-
-    def test_rejects_bad_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Tensor([1.0], requires_grad=True)], lr=0.0)
-
-    def test_rejects_empty_params(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-
 class TestAdam:
     def test_first_step_size_is_lr(self):
         # With bias correction, |first step| == lr regardless of grad scale.
@@ -145,10 +109,58 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], betas=(1.0, 0.9))
 
+    @pytest.mark.parametrize("betas", [(-0.1, 0.999), (0.9, 1.0),
+                                       (0.9, -1e-3)])
+    def test_rejects_betas_outside_unit_interval(self, betas):
+        with pytest.raises(ValueError, match="betas"):
+            Adam([Tensor([1.0], requires_grad=True)], betas=betas)
+
+    def test_constant_gradient_moves_lr_per_step(self):
+        # Bias correction makes m_hat = g and v_hat = g**2 for a constant
+        # gradient, so every step is lr * sign(g), not just the first.
+        p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
+        opt = Adam([p], lr=0.01)
+        for step in range(1, 6):
+            p.grad = np.array([3.0, -0.5])
+            opt.step()
+            np.testing.assert_allclose(p.data, [-0.01 * step, 0.01 * step],
+                                       rtol=1e-6)
+
+    def test_weight_decay_is_added_to_the_gradient(self):
+        grad = np.array([0.3, -0.2, 0.05])
+        start = np.array([1.0, -2.0, 0.5])
+        decayed = Tensor(start.copy(), requires_grad=True)
+        manual = Tensor(start.copy(), requires_grad=True)
+        opt_decayed = Adam([decayed], lr=0.1, weight_decay=0.5)
+        opt_manual = Adam([manual], lr=0.1)
+        for _ in range(3):
+            decayed.grad = grad.copy()
+            manual.grad = grad + 0.5 * manual.data
+            opt_decayed.step()
+            opt_manual.step()
+        np.testing.assert_array_equal(decayed.data, manual.data)
+
+    def test_zero_grad_clears_every_param(self):
+        params = [Tensor(np.ones(2), requires_grad=True) for _ in range(3)]
+        opt = Adam(params, lr=0.1)
+        for param in params:
+            param.grad = np.ones(2)
+        opt.zero_grad()
+        assert all(param.grad is None for param in params)
+
     @pytest.mark.parametrize("clip", [0.0, -1.0])
     def test_rejects_non_positive_grad_clip(self, clip):
         with pytest.raises(ValueError, match="grad_clip"):
             Adam([Tensor([1.0], requires_grad=True)], grad_clip=clip)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    def test_rejects_non_positive_lr(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([Tensor([1.0], requires_grad=True)], lr=lr)
+
+    def test_rejects_empty_params(self):
+        with pytest.raises(ValueError, match="empty parameter list"):
+            Adam([], lr=0.1)
 
 
 class TestSerialization:
@@ -157,7 +169,7 @@ class TestSerialization:
         path = str(tmp_path / "checkpoint.npz")
         save_state_dict(path, model)
         fresh = Linear(3, 2, np.random.default_rng(1234))
-        load_into(path, fresh)
+        fresh.load_state_dict(load_state_dict(path))
         np.testing.assert_array_equal(model.weight.data, fresh.weight.data)
         np.testing.assert_array_equal(model.bias.data, fresh.bias.data)
 

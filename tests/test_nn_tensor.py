@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (Tensor, as_tensor, concatenate, is_grad_enabled,
-                      no_grad, ones, randn, stack, tensor, where, zeros)
+                      no_grad, ones, stack, tensor, where, zeros)
 
 
 class TestConstruction:
@@ -37,7 +37,6 @@ class TestConstruction:
     def test_factory_shapes(self):
         assert zeros(2, 3).shape == (2, 3)
         assert ones((4,)).shape == (4,)
-        assert randn(2, 2, rng=np.random.default_rng(0)).shape == (2, 2)
 
     def test_len_and_size(self):
         t = zeros(5, 2)

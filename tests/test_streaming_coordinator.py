@@ -7,6 +7,8 @@ checkpointing are asserted without sleeps or timing assumptions.
 """
 
 import json
+import os
+import sys
 import threading
 
 import numpy as np
@@ -51,6 +53,53 @@ def make_coordinated_detector(ensemble, coordinator, gate, fire_at=(30,),
                                  coordinator=coordinator)
     detector.warm_up(sine_regime(7, start=353))
     return detector, refresher
+
+
+class PriorityRecordingRefresher(SlowRefresher):
+    """Records the niceness of the thread its build runs on."""
+
+    def build(self, *args, **kwargs):
+        kwargs.pop("cancel", None)
+        self.niceness = os.getpriority(os.PRIO_PROCESS,
+                                       threading.get_native_id())
+        return super().build(*args, **kwargs)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="per-thread niceness is a Linux facility")
+class TestBuildThreadPriority:
+    def test_in_process_build_trains_at_lowest_priority(self,
+                                                        stream_ensemble):
+        """An in-process build thread yields its cores to serving: it
+        trains at nice 19 while the serving thread keeps its own."""
+        serving = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+        gate = threading.Event()
+        gate.set()
+        detector, refresher = make_coordinated_detector(
+            stream_ensemble, RefreshCoordinator(), gate,
+            refresher_cls=PriorityRecordingRefresher)
+        detector.update_batch(sine_regime(40, start=360))
+        assert detector.wait_for_refresh(GATE_TIMEOUT)
+        assert refresher.niceness == 19
+        assert os.getpriority(os.PRIO_PROCESS,
+                              threading.get_native_id()) == serving
+
+    def test_build_runner_thread_keeps_its_priority(self, stream_ensemble):
+        """With a build runner the coordinator thread only waits on it,
+        so it is left at the process's niceness."""
+        serving = os.getpriority(os.PRIO_PROCESS, threading.get_native_id())
+
+        def runner(refresher, ensemble, history, index, kwargs, cancel):
+            return refresher.build(ensemble, history, index, **kwargs)
+
+        gate = threading.Event()
+        gate.set()
+        detector, refresher = make_coordinated_detector(
+            stream_ensemble, RefreshCoordinator(build_runner=runner), gate,
+            refresher_cls=PriorityRecordingRefresher)
+        detector.update_batch(sine_regime(40, start=360))
+        assert detector.wait_for_refresh(GATE_TIMEOUT)
+        assert refresher.niceness == serving
 
 
 @pytest.fixture(scope="module")
