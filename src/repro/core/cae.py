@@ -14,7 +14,7 @@ earlier embedded observations plus the encoder summary.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -142,10 +142,6 @@ class CAEEnsemble:
             warm_fraction = self.config.transfer_fraction \
                 if warm_start_fraction is None else warm_start_fraction
 
-            # Running sum of frozen model outputs, updated in place;
-            # F = sum / m (Eq. 8).
-            ensemble_sum: Optional[np.ndarray] = None
-
             for model_index in range(self.config.n_models):
                 if cancel is not None and cancel.is_set():
                     raise TrainingCancelled(model_index)
@@ -161,25 +157,15 @@ class CAEEnsemble:
                         self.models[-1], model,
                         self.config.transfer_fraction, self._rng)
                     self.transfer_reports.append(report)
-                # The mean is a temporary: the trainer keeps only its own
-                # compute-dtype copy, so no float64 mean outlives that cast.
-                stage_records, output = trainer.train_model(
-                    model, model_index,
-                    None if ensemble_sum is None
-                    else ensemble_sum / model_index,
-                    self._rng, verbose=verbose)
+                # The trainer keeps the Eq. 8 running sum of the finished
+                # models' outputs and trains this one against its mean.
+                stage_records = trainer.train_model(
+                    model, model_index, self._rng, verbose=verbose)
                 for epoch, loss, j_value, k_value in stage_records:
                     self.history.append(EpochRecord(
                         model_index=model_index, epoch=epoch, loss=loss,
                         reconstruction=j_value, diversity=k_value))
                 self.models.append(model)
-                if output is None or model_index + 1 == self.config.n_models:
-                    continue   # λ = 0 or the last model: no mean is read
-                if ensemble_sum is None:
-                    ensemble_sum = output
-                else:
-                    ensemble_sum += output
-                del output   # the sum holds it; free it before next stage
         except BaseException:
             # Restore the exact pre-fit state: a failed or cancelled refit
             # keeps serving its previous generation, a fresh build stays

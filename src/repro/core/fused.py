@@ -93,7 +93,8 @@ class _Workspace:
     reshaped to the requested shape, so a partial last chunk or a batch
     of another size reuses it instead of reallocating.  Workspaces live
     in a ``threading.local`` slot of the scorer, so concurrent callers
-    (fleet serving, background refreshes) never share scratch memory.
+    (fleet serving, background refreshes) never share scratch memory;
+    the fused trainer keeps one per fit.
 
     ``allocs``/``reuses`` count buffer outcomes (two plain int adds per
     ``get`` — always on); the scorer flushes their deltas into registry

@@ -21,7 +21,7 @@ and 15 experiments can re-plot error-ordered candidate curves.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -54,7 +54,7 @@ import dataclasses
 import json
 import os
 import shutil
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

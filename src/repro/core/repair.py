@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from ..datasets.windows import sliding_windows
-from ..nn import Tensor, no_grad
 from .ensemble import CAEEnsemble
 
 

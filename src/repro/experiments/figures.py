@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..core.config import CAEConfig, EnsembleConfig
 from ..core.ensemble import CAEEnsemble
 from ..datasets import load_dataset

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ..baselines import (AEEnsemble, CAEDetector, CAEEnsembleDetector,
                          IsolationForest, LocalOutlierFactor, MSCRED,
                          MovingAverageSmoothing, OmniAnomaly, OneClassSVM,
                          OutlierDetector, RAE, RAEEnsemble, RNNVAE)
-from ..core.config import CAEConfig, EnsembleConfig
 from ..core.hyperparams import PAPER_SELECTED_HYPERPARAMETERS
 from ..datasets import TimeSeriesDataset, load_dataset
 from ..metrics import AccuracyReport, accuracy_report

@@ -7,13 +7,10 @@ state-dict serialisation) so it is fully self-contained.
 """
 
 from . import functional, init
-from .batched import (batched_attention, batched_conv1d, batched_glu,
-                      batched_linear_cf, batched_relu_residual,
-                      batched_shift_right, fused_training_loss)
 from .conv import conv1d, resolve_padding
 from .gradcheck import gradcheck, numerical_gradient
 from .modules import Conv1d, Embedding, Linear, Module, Parameter
-from .optim import Adam, Optimizer
+from .optim import Adam, FlatParameters, Optimizer
 from .rnn import GRUCell, LSTM, LSTMCell
 from .serialization import load_state_dict, save_state_dict
 from .tensor import (Tensor, as_tensor, concatenate, default_dtype,
@@ -22,14 +19,11 @@ from .tensor import (Tensor, as_tensor, concatenate, default_dtype,
                      stack, tensor, where, zeros)
 
 __all__ = [
-    "Adam", "Conv1d", "Embedding", "GRUCell", "LSTM", "LSTMCell", "Linear",
-    "Module", "Optimizer", "Parameter", "Tensor", "as_tensor",
-    "batched_attention", "batched_conv1d", "batched_glu",
-    "batched_linear_cf", "batched_relu_residual", "batched_shift_right",
-    "concatenate", "conv1d", "default_dtype", "functional",
-    "fused_training_loss", "gradcheck", "inference_dtype",
-    "inference_precision", "init", "is_grad_enabled", "load_state_dict",
-    "no_grad", "numerical_gradient", "ones", "resolve_padding",
-    "save_state_dict", "set_default_dtype", "set_inference_dtype", "stack",
-    "tensor", "where", "zeros",
+    "Adam", "Conv1d", "Embedding", "FlatParameters", "GRUCell", "LSTM",
+    "LSTMCell", "Linear", "Module", "Optimizer", "Parameter", "Tensor",
+    "as_tensor", "concatenate", "conv1d", "default_dtype", "functional",
+    "gradcheck", "inference_dtype", "inference_precision", "init",
+    "is_grad_enabled", "load_state_dict", "no_grad", "numerical_gradient",
+    "ones", "resolve_padding", "save_state_dict", "set_default_dtype",
+    "set_inference_dtype", "stack", "tensor", "where", "zeros",
 ]

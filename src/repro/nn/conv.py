@@ -47,9 +47,8 @@ def _im2col(x: np.ndarray, kernel_size: int) -> np.ndarray:
     """Unfold ``(..., C, L_pad)`` into ``(..., C * K, L_out)`` columns.
 
     Uses stride tricks, so no data is copied until the matmul reads it.
-    Any number of leading batch axes is supported — ``(N, C, L_pad)`` for
-    the per-model training path, ``(M, N, C, L_pad)`` for the batched
-    ensemble-training path (:mod:`repro.nn.batched`).
+    Any number of leading batch axes is supported; the per-model path
+    passes ``(N, C, L_pad)``.
     """
     *lead, c, l_pad = x.shape
     l_out = l_pad - kernel_size + 1

@@ -38,7 +38,6 @@ class Module:
     def __init__(self):
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training = True
 
     # -- attribute interception -----------------------------------------
     def __setattr__(self, name: str, value) -> None:
@@ -65,16 +64,6 @@ class Module:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    # -- train / eval ------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import init as nn_init
 from .modules import Module, Parameter
-from .tensor import Tensor, concatenate, stack, zeros
+from .tensor import Tensor, stack, zeros
 
 
 class LSTMCell(Module):

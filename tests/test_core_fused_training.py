@@ -10,8 +10,14 @@ the ensemble RNG identically and train the same Algorithm 1 objective
 over the same batches, so with ``fused_training_dtype='float64'`` the
 loss trajectories and scores match to rounding error; the default
 float32 path agrees within a documented looser tolerance.
+
+The fused step itself is pinned three ways: a golden digest of a small
+float32 fit (its bits equal those of the autograd-tape trainer it
+replaced), a float64 step's gradients against the per-module autograd
+gradients, and a float64 finite-difference check of every kernel.
 """
 
+import hashlib
 import json
 import os
 
@@ -22,6 +28,7 @@ from repro.core import CAEConfig, CAEEnsemble, EnsembleConfig
 from repro.core.cae import CAE
 from repro.core.diversity import (diversity_driven_loss, diversity_term,
                                   reconstruction_loss)
+from repro.core.fused_training import FusedEnsembleTrainer
 from repro.core.persistence import load_ensemble, save_ensemble
 from repro.nn import Adam, Tensor, no_grad
 from repro.streaming.refresh import EnsembleRefresher
@@ -34,7 +41,8 @@ class ReferenceTrainer:
     :class:`~repro.core.fused_training.FusedEnsembleTrainer`: each basic
     model trains through the fine-grained autograd modules, one
     ``rng.permutation(n)`` per epoch, with the J/K epoch statistics taken
-    from detached re-evaluations.
+    from detached re-evaluations, against the mean of the Eq. 8 running
+    sum the oracle keeps of the finished models' outputs.
     """
 
     def __init__(self, cae_config: CAEConfig, ensemble_config: EnsembleConfig,
@@ -42,15 +50,18 @@ class ReferenceTrainer:
         self.cae_config = cae_config
         self.config = ensemble_config
         self.windows = windows
+        self.ensemble_sum = None
+        self.summed = 0
 
-    def train_model(self, model: CAE, model_index: int, frozen_ensemble,
+    def train_model(self, model: CAE, model_index: int,
                     rng: np.random.Generator, verbose: bool = False):
         config, windows = self.config, self.windows
         optimizer = Adam(model.parameters(), lr=config.learning_rate,
                          grad_clip=config.grad_clip)
         n = windows.shape[0]
-        use_diversity = (frozen_ensemble is not None and
-                         config.diversity_weight > 0.0)
+        use_diversity = self.summed > 0 and config.diversity_weight > 0.0
+        frozen_ensemble = self.ensemble_sum / self.summed \
+            if use_diversity else None
         records = []
         previous_loss = None
         stall_count = 0
@@ -97,9 +108,16 @@ class ReferenceTrainer:
                 if stall_count >= config.early_stop_patience:
                     break
             previous_loss = record[2]
-        with no_grad():
-            output = model(Tensor(windows)).data
-        return records, output
+        if model_index + 1 < config.n_models and \
+                config.diversity_weight > 0.0:
+            with no_grad():
+                output = model(Tensor(windows)).data
+            if self.ensemble_sum is None:
+                self.ensemble_sum = output
+            else:
+                self.ensemble_sum += output
+            self.summed += 1
+        return records
 
 
 @pytest.fixture
@@ -127,11 +145,13 @@ def make_pair(dims, n_models, dtype, epochs=2, ensemble_overrides=(),
     cae_kwargs.update(cae_overrides)
     cae = CAEConfig(**cae_kwargs)
 
+    ensemble_kwargs = dict(n_models=n_models, epochs_per_model=epochs,
+                           batch_size=32, max_training_windows=96, seed=11,
+                           fused_training_dtype=dtype)
+    ensemble_kwargs.update(ensemble_overrides)
+
     def build():
-        return CAEEnsemble(cae, EnsembleConfig(
-            n_models=n_models, epochs_per_model=epochs, batch_size=32,
-            max_training_windows=96, seed=11, fused_training_dtype=dtype,
-            **dict(ensemble_overrides)))
+        return CAEEnsemble(cae, EnsembleConfig(**ensemble_kwargs))
 
     return build(), build()
 
@@ -226,59 +246,60 @@ class TestFloat32Default:
 
 
 class TestStageOutputs:
-    """Each finished stage feeds the Eq. 8 running sum with one frozen
-    forward pass, except the last: nothing trains against its mean.  A
-    ``diversity_weight == 0`` fit reads no mean, so it makes no pass."""
+    """The trainer owns the Eq. 8 running sum.  Each finished stage adds
+    its frozen output to it with one pass over the training windows,
+    except the last: nothing trains against its mean.  A
+    ``diversity_weight == 0`` fit reads no mean, so it makes no pass and
+    keeps no sum."""
 
     @pytest.mark.parametrize("n_models", [1, 2, 3])
     def test_fit_makes_one_pass_per_model_but_the_last(self, monkeypatch,
                                                        n_models):
-        from repro.core.fused_training import FusedEnsembleTrainer
-        passes, outputs = [], []
-        stage_output = FusedEnsembleTrainer._stage_output
-        train_model = FusedEnsembleTrainer.train_model
+        sums = []
+        add_stage_output = FusedEnsembleTrainer._add_stage_output
 
-        def counting_stage_output(self, leaves, windows_cf):
-            passes.append(windows_cf.shape[1])
-            return stage_output(self, leaves, windows_cf)
+        def recording_add(self):
+            add_stage_output(self)
+            sums.append((self.summed, self.ensemble_sum.shape,
+                         self.ensemble_sum.dtype))
 
-        def recording_train_model(self, *args, **kwargs):
-            records, output = train_model(self, *args, **kwargs)
-            outputs.append(output)
-            return records, output
-
-        monkeypatch.setattr(FusedEnsembleTrainer, "_stage_output",
-                            counting_stage_output)
-        monkeypatch.setattr(FusedEnsembleTrainer, "train_model",
-                            recording_train_model)
+        monkeypatch.setattr(FusedEnsembleTrainer, "_add_stage_output",
+                            recording_add)
         _, fused = make_pair(2, n_models, "float32")
         fused.fit(make_series(2))
-        assert passes == [96] * (n_models - 1)
-        assert outputs[-1] is None
-        assert all(output.shape == (96, 8, 2) for output in outputs[:-1])
+        # Channel-first (out, N, w) float64, one more stage per pass.
+        assert sums == [(i + 1, (2, 96, 8), np.float64)
+                        for i in range(n_models - 1)]
+
+    def test_mean_rounds_like_a_float64_division(self):
+        """The mean is divided straight into the compute dtype: the same
+        rounding as dividing in float64 and casting."""
+        rng = np.random.default_rng(7)
+        total = rng.standard_normal((3, 50, 8)) * 7.0
+        mean = np.empty(total.shape, dtype=np.float32)
+        np.divide(total, 3, out=mean)
+        np.testing.assert_array_equal(mean,
+                                      (total / 3).astype(np.float32))
 
     def test_zero_diversity_weight_makes_no_pass(self, monkeypatch):
         """The skipped passes change nothing: the frozen forward draws no
         RNG, so the scores equal those of a fit that makes every pass."""
-        from repro.core.fused_training import FusedEnsembleTrainer
         passes = []
-        stage_output = FusedEnsembleTrainer._stage_output
+        add_stage_output = FusedEnsembleTrainer._add_stage_output
         train_model = FusedEnsembleTrainer.train_model
 
-        def counting_stage_output(self, leaves, windows_cf):
-            passes.append(windows_cf.shape[1])
-            return stage_output(self, leaves, windows_cf)
+        def counting_add(self):
+            passes.append(self.summed)
+            add_stage_output(self)
 
         def eager_train_model(self, model, model_index, *args, **kwargs):
-            records, output = train_model(self, model, model_index, *args,
-                                          **kwargs)
-            if output is None and model_index + 1 < self.config.n_models:
-                output = self._stage_output(self._pack_leaves(model),
-                                            self._windows_cf)
-            return records, output
+            records = train_model(self, model, model_index, *args, **kwargs)
+            if model_index + 1 < self.config.n_models:
+                self._add_stage_output()
+            return records
 
-        monkeypatch.setattr(FusedEnsembleTrainer, "_stage_output",
-                            counting_stage_output)
+        monkeypatch.setattr(FusedEnsembleTrainer, "_add_stage_output",
+                            counting_add)
         series = make_series(2)
         lean, eager = make_pair(2, 4, "float32",
                                 ensemble_overrides={"diversity_weight": 0.0})
@@ -287,7 +308,7 @@ class TestStageOutputs:
         monkeypatch.setattr(FusedEnsembleTrainer, "train_model",
                             eager_train_model)
         eager.fit(series)
-        assert passes == [96] * 3
+        assert passes == [0, 1, 2]
         np.testing.assert_array_equal(history_rows(lean),
                                       history_rows(eager))
         np.testing.assert_array_equal(lean.score(series),
@@ -346,3 +367,261 @@ class TestLegacySwitch:
         assert len(replacement.models) == len(ensemble.models)
         assert np.all(np.isfinite(replacement.score(history)))
         assert report.index == len(history)
+
+
+def fit_digest(ensemble):
+    """Digest of a fit's exact weight bytes and epoch records."""
+    digest = hashlib.sha256()
+    for model in ensemble.models:
+        for name, param in model.named_parameters():
+            digest.update(name.encode())
+            digest.update(param.data.tobytes())
+    digest.update(history_rows(ensemble).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def platform_fingerprint():
+    """Digest of the BLAS and ufunc kernels a fit's bits depend on."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1, 64, 96)).astype(np.float32)
+    b = rng.standard_normal((1, 96, 256)).astype(np.float32)
+    digest = hashlib.sha256()
+    for array in (np.matmul(a, b), np.matmul(a.swapaxes(-1, -2), a),
+                  np.matmul(b, b.swapaxes(-1, -2)), np.tanh(b), np.exp(b),
+                  np.linalg.norm(b)):
+        digest.update(np.asarray(array).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def step_trainer(dtype="float64", windows=16, **cae_overrides):
+    """A trainer loaded with a fresh model, plus its model and windows."""
+    cae_kwargs = dict(input_dim=3, embed_dim=4, window=6, n_layers=2)
+    cae_kwargs.update(cae_overrides)
+    cae = CAEConfig(**cae_kwargs)
+    rng = np.random.default_rng(5)
+    series_windows = rng.standard_normal((windows, cae.window, 3))
+    trainer = FusedEnsembleTrainer(
+        cae, EnsembleConfig(n_models=2, batch_size=windows,
+                            fused_training_dtype=dtype), series_windows)
+    model = CAE(cae, np.random.default_rng(6))
+    trainer._load(model)
+    return trainer, model, series_windows
+
+
+ARCHITECTURES = [{}, {"use_glu": False}, {"use_attention": False},
+                 {"position_mode": "table"}, {"reconstruct": "embedding"},
+                 {"n_layers": 3, "kernel_size": 5}]
+ARCHITECTURE_IDS = ["default", "no-glu", "no-attention", "table-positions",
+                    "embedding-reconstruct", "deep-k5"]
+
+
+class TestFusedStep:
+    # A float32 fit's weight-and-history digest, equal to that of the
+    # autograd-tape trainer this one replaced, and the fingerprint of the
+    # numpy/OpenBLAS kernels it was taken with.
+    GOLDEN_DIGEST = "04768ee9255e6642"
+    GOLDEN_PLATFORM = "70766577d28813e8"
+
+    def test_float32_fit_matches_golden_digest(self):
+        if platform_fingerprint() != self.GOLDEN_PLATFORM:
+            pytest.skip("other BLAS/ufunc kernels round differently; the "
+                        "digest pins this platform's bits")
+        _, fused = make_pair(2, 3, "float32", n_layers=2,
+                             ensemble_overrides={"batch_size": 40})
+        fused.fit(make_series(2))
+        assert fit_digest(fused) == self.GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_workspace_allocations_stay_flat(self, monkeypatch, weight):
+        """After a fit's first step sizes the workspace, steps allocate
+        nothing: not for the partial last batch of an epoch, not for the
+        frozen passes.  Only the diversity term takes buffers, once, at
+        the second model: the Eq. 8 mean, its batch slice and the
+        residual against it."""
+        allocs = []
+        backward = FusedEnsembleTrainer._backward
+
+        def counting_backward(self, grad):
+            backward(self, grad)
+            allocs.append(self.workspace.allocs)
+
+        monkeypatch.setattr(FusedEnsembleTrainer, "_backward",
+                            counting_backward)
+        _, fused = make_pair(2, 3, "float32", ensemble_overrides={
+            "batch_size": 40, "diversity_weight": weight})
+        fused.fit(make_series(2))
+        steps = len(allocs) // 3            # 96 windows: 40 + 40 + 16
+        assert allocs[1:steps] == [allocs[0]] * (steps - 1)
+        diversity = 3 if weight else 0
+        assert allocs[steps:] == [allocs[0] + diversity] * (2 * steps)
+
+    @pytest.mark.parametrize("cae_overrides", ARCHITECTURES,
+                             ids=ARCHITECTURE_IDS)
+    def test_float64_step_matches_per_module_autograd(self, cae_overrides):
+        trainer, model, windows = step_trainer(**cae_overrides)
+        frozen = np.random.default_rng(8).standard_normal(
+            (len(windows), model.config.window, model.config.output_dim))
+        reference = diversity_driven_loss(
+            model(Tensor(windows)),
+            model.reconstruction_target(Tensor(windows)), frozen, 0.7,
+            saturation=0.5)
+        reference.backward()
+
+        trainer.config = EnsembleConfig(
+            n_models=2, diversity_weight=0.7, diversity_saturation=0.5,
+            fused_training_dtype="float64")
+        index = np.arange(len(windows))
+        batch = trainer._gather("batch", trainer._windows_cf, index)
+        prediction = trainer._forward(batch)
+        grad, loss, _, _ = trainer._loss(
+            prediction,
+            batch if model.config.reconstruct == "observations"
+            else trainer._states[2],
+            trainer._gather("frozen", np.ascontiguousarray(
+                frozen.transpose(2, 0, 1)), index))
+        trainer._backward(grad)
+        assert loss == pytest.approx(float(reference.data), rel=1e-12)
+        grads = trainer._params.grads
+        for name, param in model.named_parameters():
+            np.testing.assert_allclose(
+                trainer._layout(name, grads[name][0]), param.grad,
+                rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def numeric_gradient(f, array, eps=1e-6):
+    """Central differences of the scalar ``f()`` w.r.t. ``array`` (which
+    ``f`` reads in place)."""
+    grad = np.zeros(array.shape)
+    flat = array.reshape(-1)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        plus = f()
+        flat[i] = original - eps
+        minus = f()
+        flat[i] = original
+        grad.reshape(-1)[i] = (plus - minus) / (2 * eps)
+    return grad
+
+
+def assert_gradients(f, analytic):
+    """Each ``(array, gradient)`` pair matches central differences."""
+    for array, gradient in analytic:
+        np.testing.assert_allclose(gradient, numeric_gradient(f, array),
+                                   rtol=1e-5, atol=1e-7)
+
+
+class TestKernelGradients:
+    """Every VJP kernel of the fused step passes a float64
+    finite-difference check: of ``sum(out · R)`` for a random ``R``
+    against its input and parameter gradients."""
+
+    @pytest.fixture
+    def trainer(self):
+        return step_trainer(windows=2, window=5, kernel_size=3)[0]
+
+    @pytest.mark.parametrize("layer", ["encoder", "decoder", "head"])
+    def test_conv(self, trainer, layer):
+        site = {"encoder": trainer._encoder[0][1],
+                "decoder": trainer._decoder[0][1],
+                "head": trainer._head[1]}[layer]
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((1, 4, 2, 5))
+        out_shape = (1, site.weight.shape[1], 2, 5)
+        r = rng.standard_normal(out_shape)
+
+        def f():
+            return float(np.sum(trainer._conv_forward(site, x) * r))
+
+        trainer._conv_forward(site, x)
+        grad_x = trainer._conv_backward(site, r).copy()
+        assert_gradients(f, [(x, grad_x),
+                             (site.weight, site.grad_weight.copy()),
+                             (site.bias, site.grad_bias.reshape(
+                                 site.bias.shape).copy())])
+
+    @pytest.mark.parametrize("layer", ["encoder", "decoder"])
+    def test_glu(self, trainer, layer):
+        site = {"encoder": trainer._encoder[0][0],
+                "decoder": trainer._decoder[0][0]}[layer]
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((1, 4, 2, 5))
+        r = rng.standard_normal(x.shape)
+
+        def f():
+            return float(np.sum(trainer._glu_forward(site, x) * r))
+
+        trainer._glu_forward(site, x)
+        grad_x = trainer._glu_backward(site, r).copy()
+        assert_gradients(f, [
+            (x, grad_x), (site.weight, site.grad_weight.copy()),
+            (site.bias, site.grad_bias.reshape(site.bias.shape).copy())])
+
+    def test_attention(self, trainer):
+        site = trainer._decoder[0][2]
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal((1, 4, 2, 5))
+        e = rng.standard_normal(d.shape)
+        r = rng.standard_normal(d.shape)
+
+        def f():
+            return float(np.sum(trainer._attention_forward(site, d, e) * r))
+
+        trainer._attention_forward(site, d, e)
+        grad_e = np.empty_like(e)
+        grad_d = trainer._attention_backward(site, r, grad_e).copy()
+        assert_gradients(f, [(d, grad_d), (e, grad_e),
+                             (site.weight, site.grad_weight.copy()),
+                             (site.bias, site.grad_bias.reshape(
+                                 site.bias.shape).copy())])
+
+    @pytest.mark.parametrize("mode", ["linear", "table"])
+    def test_positions(self, mode):
+        trainer = step_trainer(windows=2, window=5, position_mode=mode)[0]
+        r = np.random.default_rng(4).standard_normal((1, 4, 2, 5))
+
+        def f():
+            return float(np.sum(trainer._positions() * r))
+
+        trainer._positions()
+        trainer._positions_backward(r)
+        names = ["embedding.position.weight"] + \
+            (["embedding.position.bias"] if mode == "linear" else [])
+        assert_gradients(f, [(trainer._params.views[name],
+                              trainer._params.grads[name].copy())
+                             for name in names])
+
+    @pytest.mark.parametrize("diverse", [False, True])
+    def test_loss(self, trainer, diverse):
+        trainer.config = EnsembleConfig(diversity_weight=0.8,
+                                        diversity_saturation=0.3)
+        rng = np.random.default_rng(5)
+        prediction = rng.standard_normal((1, 3, 2, 5))
+        target = rng.standard_normal(prediction.shape)
+        frozen = rng.standard_normal(prediction.shape) if diverse else None
+
+        def f():
+            return trainer._loss(prediction, target, frozen)[1]
+
+        grad = trainer._loss(prediction, target, frozen)[0].copy()
+        assert_gradients(f, [(prediction, grad)])
+
+    @pytest.mark.parametrize("cae_overrides", ARCHITECTURES,
+                             ids=ARCHITECTURE_IDS)
+    def test_whole_step(self, cae_overrides):
+        """The composed backward, including the embedding, the ReLU gates
+        and the summed gradients of states read by several layers."""
+        trainer = step_trainer(windows=2, window=5, **cae_overrides)[0]
+        trainer.config = EnsembleConfig(diversity_weight=0.0)
+        batch = trainer._gather("batch", trainer._windows_cf, np.arange(2))
+        prediction = trainer._forward(batch)
+        # An embedding target is detached: it is held fixed.
+        target = batch if trainer.cae_config.reconstruct == "observations" \
+            else trainer._states[2].copy()
+
+        def f():
+            return trainer._loss(trainer._forward(batch), target, None)[1]
+
+        trainer._backward(trainer._loss(prediction, target, None)[0])
+        params = trainer._params
+        assert_gradients(f, [(params.data, params.grad.copy())])

@@ -97,6 +97,96 @@ class TestExamples:
         assert missing == [], f"{name} imports missing names: {missing}"
 
 
+def _module_name(path: pathlib.Path) -> str:
+    parts = list(path.relative_to(REPO_ROOT / "src").with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imported_from(tree: ast.AST, module: str, package: bool) -> set:
+    """``(source module, name)`` for every ``from source import name``
+    in ``module``'s tree (relative imports resolved)."""
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module
+            if node.level:
+                base = module.split(".")[:None if package else -1]
+                base = base[:len(base) - node.level + 1]
+                source = ".".join(base + ([node.module] if node.module
+                                          else []))
+            pairs.update((source, alias.name) for alias in node.names)
+    return pairs
+
+
+def _unused_imports(tree: ast.AST, reexported=frozenset()) -> list:
+    """Names a module imports but never reads.  A name counts as read
+    where it appears as a name, inside a string that parses as an
+    expression (quoted annotations, ``__all__`` entries) or in
+    ``reexported``: names other modules import from this one."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            bound.update(alias.asname or alias.name
+                         for alias in node.names if alias.name != "*")
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(name.id for name in ast.walk(expression)
+                        if isinstance(name, ast.Name))
+    return sorted(bound - used - set(reexported))
+
+
+class TestUnusedImports:
+    """Every import under ``src/`` is read, so a deletion leaves no dead
+    import behind.  A name another module imports from this one is a
+    deliberate re-export and counts as read (``AdmissionClosed`` lives in
+    ``streaming/coordinator.py`` and is imported from there)."""
+
+    def test_src_has_no_unused_imports(self):
+        trees, reexports = {}, set()
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            module = _module_name(path)
+            trees[module] = (path, tree)
+            reexports |= _imported_from(tree, module,
+                                        path.name == "__init__.py")
+        unused = {}
+        for module, (path, tree) in trees.items():
+            names = _unused_imports(tree, {name for source, name in reexports
+                                           if source == module})
+            if names:
+                unused[str(path.relative_to(REPO_ROOT))] = names
+        assert unused == {}, f"unused imports: {unused}"
+
+    def test_planted_unused_import_is_found(self):
+        tree = ast.parse("import os\nfrom typing import List, Optional\n"
+                         "def f(x: 'Optional[int]'):\n    return x\n")
+        assert _unused_imports(tree) == ["List", "os"]
+        assert _unused_imports(tree, {"os"}) == ["List"]
+
+    def test_reexport_resolves_relative_imports(self):
+        tree = ast.parse("from .coordinator import AdmissionClosed\n"
+                         "from ..core import fused\n")
+        assert _imported_from(tree, "repro.streaming.engine", False) == {
+            ("repro.streaming.coordinator", "AdmissionClosed"),
+            ("repro.core", "fused")}
+        package = ast.parse("from .coordinator import AdmissionClosed\n")
+        assert _imported_from(package, "repro.streaming", True) == {
+            ("repro.streaming.coordinator", "AdmissionClosed")}
+
+
 class TestClockDiscipline:
     """Durations are measured with the monotonic ``time.perf_counter``,
     never the wall clock — ``time.time()`` jumps under NTP slews and

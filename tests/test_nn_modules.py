@@ -51,13 +51,6 @@ class TestModuleBookkeeping:
         model.zero_grad()
         assert all(p.grad is None for p in model.parameters())
 
-    def test_train_eval_propagates(self, rng):
-        model = TwoLayer(rng)
-        model.eval()
-        assert not model.first.training
-        model.train()
-        assert model.second.training
-
 
 class TestStateDict:
     def test_round_trip(self, rng):

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn import (Adam, GRUCell, LSTM, LSTMCell, Linear, Tensor,
-                      load_state_dict, save_state_dict)
+from repro.nn import (Adam, FlatParameters, GRUCell, LSTM, LSTMCell, Linear,
+                      Tensor, load_state_dict, save_state_dict)
 from repro.nn.functional import mse_loss
 
 
@@ -157,6 +157,30 @@ class TestAdam:
     def test_rejects_non_positive_lr(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             Adam([Tensor([1.0], requires_grad=True)], lr=lr)
+
+    @pytest.mark.parametrize("clip, decay", [(None, 0.0), (0.5, 0.0),
+                                             (0.5, 0.1)])
+    def test_flat_pack_steps_like_tensors(self, clip, decay):
+        """A FlatParameters pack steps bit-identically to the same
+        parameters as tensors, each clipped by its own norm."""
+        rng = np.random.default_rng(3)
+        shapes = [("a", (2, 3)), ("b", (4,)), ("c", (1, 2, 2))]
+        tensors = [Tensor(rng.standard_normal(shape).astype(np.float32),
+                          requires_grad=True) for _, shape in shapes]
+        pack = FlatParameters(shapes, np.float32)
+        for (name, _), tensor in zip(shapes, tensors):
+            pack.views[name][...] = tensor.data
+        opt_tensors = Adam(tensors, lr=0.01, grad_clip=clip,
+                           weight_decay=decay)
+        opt_flat = Adam(pack, lr=0.01, grad_clip=clip, weight_decay=decay)
+        for _ in range(4):
+            for (name, shape), tensor in zip(shapes, tensors):
+                tensor.grad = rng.standard_normal(shape).astype(np.float32)
+                pack.grads[name][...] = tensor.grad
+            opt_tensors.step()
+            opt_flat.step()
+        for (name, _), tensor in zip(shapes, tensors):
+            np.testing.assert_array_equal(pack.views[name], tensor.data)
 
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError, match="empty parameter list"):
