@@ -17,8 +17,8 @@ the CAE forward pass as plain NumPy over ``(M, N, ...)`` activations:
 * one im2col unfolding per conv layer covers the whole ensemble-batch
   (the ``(M, N)`` leading axes are fused into the GEMM batch), so each
   layer is a **single** batched matrix multiplication instead of M — and
-  each GLU's value/gate convolutions share one unfolding and one GEMM
-  with their output rows stacked;
+  each GLU's value/gate convolutions share one unfolding and run one
+  GEMM each;
 * activations are kept channel-first and **contiguous** end to end
   (the embedding and attention GEMMs are evaluated in transposed
   orientation), so the im2col copies and elementwise ops never walk
@@ -30,6 +30,10 @@ the CAE forward pass as plain NumPy over ``(M, N, ...)`` activations:
 * a thread-local workspace recycles every large intermediate buffer at
   its largest size so far, so scoring performs no large allocations once
   it has seen its largest batch, whatever sizes follow;
+* the forward of a chunk shape is recorded once, per workspace, as a
+  flat list of NumPy calls over fixed buffer views and weight slices
+  (:class:`_Recorder`), and every call replays it: one C call per op,
+  with no Python layer code, slicing or view construction in between;
 * a batch is scored in chunks of a fixed ``CHUNK_TARGET_ROWS`` (128)
   model-window rows, so the working set stays cache-resident whatever
   N is, and each chunk casts its own rows to the compute dtype, so a
@@ -96,18 +100,24 @@ class _Workspace:
     (fleet serving, background refreshes) never share scratch memory;
     the fused trainer keeps one per fit.
 
+    ``plans`` holds the scorer's recorded forwards (:class:`_Recorder`)
+    by chunk shape.  They are views into these buffers, so every
+    (re)allocation drops them all: no plan keeps a superseded buffer
+    alive.
+
     ``allocs``/``reuses`` count buffer outcomes (two plain int adds per
-    ``get`` — always on); the scorer flushes their deltas into registry
-    counters after each scored batch, so a steady-state serve path shows
-    reuses climbing while allocs stay flat.
+    ``get`` or plan replay — always on); the scorer flushes their deltas
+    into registry counters after each scored batch, so a steady-state
+    serve path shows reuses climbing while allocs stay flat.
     """
 
-    __slots__ = ("_buffers", "allocs", "reuses")
+    __slots__ = ("_buffers", "allocs", "reuses", "plans")
 
     def __init__(self):
         self._buffers: Dict[str, np.ndarray] = {}
         self.allocs = 0
         self.reuses = 0
+        self.plans: Dict[tuple, tuple] = {}
 
     def get(self, key: str, shape: Tuple[int, ...],
             dtype: np.dtype) -> np.ndarray:
@@ -117,6 +127,7 @@ class _Workspace:
             buffer = np.empty(size, dtype=dtype)
             self._buffers[key] = buffer
             self.allocs += 1
+            self.plans.clear()
         else:
             self.reuses += 1
         return buffer[:size].reshape(shape)
@@ -207,6 +218,193 @@ class _LinearPack:
                 .astype(dtype).reshape(m, 1, out_f, 1)
         else:
             self.bias = None
+
+
+class _Recorder:
+    """Writes one chunk's fused forward as a flat list of NumPy calls.
+
+    Each layer method appends the calls the forward makes — the same
+    operands, layouts and order, every in-place operator as the same
+    ufunc with ``out=`` — over fixed views into a :class:`_Workspace`
+    and the packed weights, and returns the view its last call writes.
+    Replaying ``ops`` (``fn(*args, **kwargs)`` each) after new rows are
+    copied into the input buffer therefore computes the forward bit for
+    bit, one C call per op and no Python in between.
+    """
+
+    __slots__ = ("ops", "workspace", "dtype", "m", "expit")
+
+    def __init__(self, workspace: _Workspace, dtype: np.dtype, m: int,
+                 expit=None):
+        self.ops: List[tuple] = []
+        self.workspace = workspace
+        self.dtype = dtype
+        self.m = m
+        self.expit = expit
+
+    def op(self, fn, *args, **kwargs) -> None:
+        self.ops.append((fn, args, kwargs))
+
+    def buffer(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+        return self.workspace.get(key, shape, self.dtype)
+
+    def add_bias(self, out: np.ndarray, bias: Optional[np.ndarray]) -> None:
+        if bias is not None:
+            self.op(np.add, out, bias[:self.m], out)
+
+    def im2col(self, x: np.ndarray, pack: _ConvPack,
+               width: Optional[int] = None) -> np.ndarray:
+        """Unfold ``(M, N, C, L)`` receptive fields into GEMM columns.
+
+        The im2col matrix is built straight from the input: kernel offset
+        ``t`` reads ``x`` at ``l = t + j - left`` for output column
+        ``j``, out-of-range positions are the zero padding (values
+        bit-identical to pad-then-unfold, without materialising a padded
+        buffer); a pad wider than the input zeroes the offset's whole
+        row.  With ``pack.folded`` a trailing constant-one row multiplies
+        the bias column of the augmented kernels.
+
+        ``width`` keeps only the last ``width`` output columns (default:
+        all of them) by shrinking the left pad.  A causal conv fed a
+        suffix of its input so computes its true outputs, as long as
+        every kept column's receptive field lies inside the suffix
+        (:meth:`FusedEnsembleScorer._decoder_widths` sizes the suffixes
+        so that it does).
+        """
+        m, n, c, length = x.shape
+        k = pack.kernel_size
+        left = pack.left
+        l_out = length + left + pack.right - k + 1
+        if width is not None:
+            left -= l_out - width
+            l_out = width
+        cols = self.buffer("cols", (m, n, c * k + pack.folded, l_out))
+        cols5 = cols[:, :, :c * k, :].reshape(m, n, c, k, l_out)
+        for t in range(k):
+            lo = min(l_out, max(0, left - t))
+            hi = max(lo, min(l_out, left + length - t))
+            if lo > 0:
+                self.op(np.ndarray.fill, cols5[:, :, :, t, :lo], 0.0)
+            if hi < l_out:
+                self.op(np.ndarray.fill, cols5[:, :, :, t, hi:], 0.0)
+            if hi > lo:
+                self.op(np.copyto, cols5[:, :, :, t, lo:hi],
+                        x[:, :, :, lo + t - left:hi + t - left])
+        if pack.folded:
+            self.op(np.ndarray.fill, cols[:, :, -1, :], 1.0)
+        return cols
+
+    def gemm(self, cols: np.ndarray, pack: _ConvPack,
+             key: str) -> np.ndarray:
+        """One batched GEMM for the whole ensemble: the ``(M, N)`` axes
+        are the gufunc batch, every slice runs the identical 2-D GEMM the
+        per-model loop would."""
+        m, n, _, l_out = cols.shape
+        out = self.buffer(key + ".out", (m, n, pack.weight.shape[1], l_out))
+        self.op(np.matmul, pack.weight[:m, None], cols, out)
+        if not pack.folded:
+            self.add_bias(out, pack.bias)
+        return out
+
+    def conv(self, x: np.ndarray, pack: _ConvPack, key: str,
+             width: Optional[int] = None) -> np.ndarray:
+        """Batched conv: im2col (``width`` its output suffix) + one GEMM,
+        cf. :func:`repro.nn.conv.conv1d`.  A kernel-1 unpadded conv (the
+        reconstruction head) skips the unfolding: its columns are the
+        input itself."""
+        if pack.kernel_size == 1 and pack.left == pack.right == 0 \
+                and not pack.folded:
+            return self.gemm(x, pack, key)
+        return self.gemm(self.im2col(x, pack, width), pack, key)
+
+    def sigmoid(self, x: np.ndarray) -> None:
+        """In-place logistic.  The exact path uses scipy's ``expit``
+        (bit-identical to training); the fast path computes
+        ``1 / (1 + exp(-x))`` with vectorised ufuncs — the same function,
+        evaluated ~3x faster on float32."""
+        if self.expit is not None:
+            self.op(self.expit, x, x)
+        else:
+            self.op(np.negative, x, x)
+            self.op(np.exp, x, x)
+            self.op(np.add, x, 1.0, x)
+            self.op(np.reciprocal, x, x)
+
+    def glu(self, x: np.ndarray, block: dict, key: str,
+            width: Optional[int] = None) -> np.ndarray:
+        """Gated linear unit (Eqs. 4-5): ``conv_v(x) * sigmoid(conv_g(x))``.
+
+        The value and gate convolutions share one im2col unfolding; their
+        two GEMMs write contiguous buffers so the sigmoid and product run
+        at full elementwise speed.
+        """
+        cols = self.im2col(x, block["glu_v"], width)
+        value = self.gemm(cols, block["glu_v"], key + ".v")
+        gate = self.gemm(cols, block["glu_g"], key + ".g")
+        self.sigmoid(gate)
+        self.op(np.multiply, value, gate, value)
+        return value
+
+    def attend(self, decoder_state: np.ndarray, encoder_state: np.ndarray,
+               pack: _LinearPack, key: str) -> np.ndarray:
+        """Global dot attention (Eq. 7) over channel-first states.
+
+        ``encoder_state`` is ``(M, N, C, w)``; ``decoder_state`` holds the
+        queries of its last ``q`` columns, ``(M, N, C, q)``.  Returns the
+        updated decoder state in the same (contiguous) layout.  The row
+        max and sum are the ``ndarray.max``/``sum`` reductions, written
+        into one ``(M, N, q, 1)`` buffer.
+        """
+        m, n, c, q = decoder_state.shape
+        w = encoder_state.shape[-1]
+        summaries = self.buffer(key + ".z", (m, n, c, q))
+        self.op(np.matmul, pack.weight[:m], decoder_state, summaries)
+        self.add_bias(summaries, pack.bias)
+        # scores[t, t'] = z_t . e_t' — rows are decoder timestamps.
+        scores = self.buffer(key + ".scores", (m, n, q, w))
+        self.op(np.matmul, summaries.transpose(0, 1, 3, 2), encoder_state,
+                scores)
+        rows = self.buffer(key + ".rows", (m, n, q, 1))
+        self.op(np.maximum.reduce, scores, -1, None, rows, True)
+        self.op(np.subtract, scores, rows, scores)
+        self.op(np.exp, scores, scores)
+        self.op(np.add.reduce, scores, -1, None, rows, True)
+        self.op(np.divide, scores, rows, scores)
+        # c_t = sum_t' alpha_tt' e_t'  ==  E @ alpha^T, channel-first.
+        context = self.buffer(key + ".context", (m, n, c, q))
+        self.op(np.matmul, encoder_state, scores.transpose(0, 1, 3, 2),
+                context)
+        self.op(np.add, context, decoder_state, context)
+        return context
+
+    def aggregate(self, errors: np.ndarray, aggregation: str) -> np.ndarray:
+        """Reduce ``(M, ...)`` errors over the model axis, as
+        ``ndarray.mean(axis=0)`` or ``np.median(axis=0)`` compute it.
+
+        The median sorts the model axis in place and takes the middle
+        row, or the middle two through ``np.mean``'s sum-then-divide by
+        an ``intp`` count; like ``np.median`` it is NaN wherever the
+        sorted axis ends in NaN.
+        """
+        m = errors.shape[0]
+        if aggregation == "mean":
+            result = self.buffer("aggregate", errors.shape[1:])
+            self.op(np.add.reduce, errors, 0, None, result)
+            self.op(np.true_divide, result, np.intp(m), result,
+                    casting="unsafe")
+            return result
+        self.op(np.ndarray.sort, errors, axis=0)
+        half = m // 2
+        result = errors[half]           # odd M: np.mean divides it by 1
+        if m % 2 == 0:
+            result = self.buffer("aggregate", errors.shape[1:])
+            self.op(np.add, errors[half - 1], errors[half], result)
+            self.op(np.true_divide, result, np.intp(2), result,
+                    casting="unsafe")
+        nan = self.workspace.get("nan", result.shape, np.bool_)
+        self.op(np.isnan, errors[-1], nan)
+        self.op(np.copyto, result, errors[-1], where=nan)
+        return result
 
 
 class FusedEnsembleScorer:
@@ -476,7 +674,7 @@ class FusedEnsembleScorer:
         return self
 
     # ------------------------------------------------------------------
-    # Batched layers
+    # Forward: recorded once per chunk shape, replayed every call
     # ------------------------------------------------------------------
     def _workspaces(self, count: int) -> List[_Workspace]:
         """The calling thread's first ``count`` span workspaces (created
@@ -488,146 +686,6 @@ class FusedEnsembleScorer:
             workspaces.append(_Workspace())
         return workspaces[:count]
 
-    def _im2col(self, x: np.ndarray, pack: _ConvPack, m: int,
-                workspace: _Workspace,
-                width: Optional[int] = None) -> np.ndarray:
-        """Unfold ``(M, N, C, L)`` receptive fields into GEMM columns.
-
-        The im2col matrix is built straight from the input: kernel offset
-        ``t`` reads ``x`` at ``l = t + j - left`` for output column
-        ``j``, out-of-range positions are the zero padding (values
-        bit-identical to pad-then-unfold, without materialising a padded
-        buffer).  With ``pack.folded`` a trailing constant-one row
-        multiplies the bias column of the augmented kernels.
-
-        ``width`` keeps only the last ``width`` output columns (default:
-        all of them) by shrinking the left pad.  A causal conv fed a
-        suffix of its input so computes its true outputs, as long as
-        every kept column's receptive field lies inside the suffix
-        (:meth:`_decoder_widths` sizes the suffixes so that it does).
-        """
-        _, n, c, length = x.shape
-        k = pack.kernel_size
-        left, right = pack.left, pack.right
-        l_out = length + left + right - k + 1
-        if width is not None:
-            left -= l_out - width
-            l_out = width
-        rows = c * k + (1 if pack.folded else 0)
-        cols = workspace.get("cols", (m, n, rows, l_out), x.dtype)
-        cols5 = cols[:, :, :c * k, :].reshape(m, n, c, k, l_out)
-        for t in range(k):
-            lo = max(0, left - t)
-            hi = min(l_out, left + length - t)
-            if lo > 0:
-                cols5[:, :, :, t, :lo] = 0.0
-            if hi < l_out:
-                cols5[:, :, :, t, hi:] = 0.0
-            if hi > lo:
-                cols5[:, :, :, t, lo:hi] = \
-                    x[:, :, :, lo + t - left:hi + t - left]
-        if pack.folded:
-            cols[:, :, -1, :] = 1.0
-        return cols
-
-    def _gemm(self, cols: np.ndarray, pack: _ConvPack, m: int,
-              workspace: _Workspace, key: str) -> np.ndarray:
-        """One batched GEMM for the whole ensemble: the ``(M, N)`` axes
-        are the gufunc batch, every slice runs the identical 2-D GEMM the
-        per-model loop would."""
-        n, l_out = cols.shape[1], cols.shape[3]
-        out = workspace.get(key + ".out",
-                            (m, n, pack.weight.shape[1], l_out),
-                            cols.dtype)
-        np.matmul(pack.weight[:m, None], cols, out=out)
-        if pack.bias is not None and not pack.folded:
-            out += pack.bias[:m]
-        return out
-
-    def _conv(self, x: np.ndarray, pack: _ConvPack, m: int,
-              workspace: _Workspace, key: str,
-              width: Optional[int] = None) -> np.ndarray:
-        """Batched conv: im2col + one GEMM (cf. :func:`repro.nn.conv.conv1d`).
-
-        A kernel-1 unpadded conv (the reconstruction head) skips the
-        unfolding entirely — its columns are the input itself.
-        ``width`` is :meth:`_im2col`'s output suffix.
-        """
-        if pack.kernel_size == 1 and pack.left == 0 and pack.right == 0 \
-                and not pack.folded:
-            out = workspace.get(key + ".out",
-                                (m, x.shape[1], pack.weight.shape[1],
-                                 x.shape[3]), x.dtype)
-            np.matmul(pack.weight[:m, None], x, out=out)
-            if pack.bias is not None:
-                out += pack.bias[:m]
-            return out
-        cols = self._im2col(x, pack, m, workspace, width)
-        return self._gemm(cols, pack, m, workspace, key)
-
-    def _sigmoid(self, x: np.ndarray) -> None:
-        """In-place logistic.  The exact path uses scipy's ``expit``
-        (bit-identical to training); the fast path computes
-        ``1 / (1 + exp(-x))`` with vectorised ufuncs — the same function,
-        evaluated ~3x faster on float32."""
-        if self._exact:
-            self._expit(x, out=x)
-        else:
-            np.negative(x, out=x)
-            np.exp(x, out=x)
-            x += 1.0
-            np.reciprocal(x, out=x)
-
-    def _glu(self, x: np.ndarray, block: dict, m: int,
-             workspace: _Workspace, key: str,
-             width: Optional[int] = None) -> np.ndarray:
-        """Gated linear unit (Eqs. 4-5): ``conv_v(x) * sigmoid(conv_g(x))``.
-
-        The value and gate convolutions share one im2col unfolding; their
-        two GEMMs write contiguous buffers so the sigmoid and product run
-        at full elementwise speed.
-        """
-        cols = self._im2col(x, block["glu_v"], m, workspace, width)
-        value = self._gemm(cols, block["glu_v"], m, workspace, key + ".v")
-        gate = self._gemm(cols, block["glu_g"], m, workspace, key + ".g")
-        self._sigmoid(gate)
-        value *= gate
-        return value
-
-    def _attend(self, decoder_state: np.ndarray, encoder_state: np.ndarray,
-                pack: _LinearPack, m: int, workspace: _Workspace,
-                key: str) -> np.ndarray:
-        """Global dot attention (Eq. 7) over channel-first states.
-
-        ``encoder_state`` is ``(M, N, C, w)``; ``decoder_state`` holds the
-        queries of its last ``q`` columns, ``(M, N, C, q)``.  Returns the
-        updated decoder state in the same (contiguous) layout.
-        """
-        _, n, c, q = decoder_state.shape
-        w = encoder_state.shape[-1]
-        summaries = workspace.get(key + ".z", (m, n, c, q),
-                                  decoder_state.dtype)
-        np.matmul(pack.weight[:m], decoder_state, out=summaries)
-        if pack.bias is not None:
-            summaries += pack.bias[:m]
-        # scores[t, t'] = z_t . e_t' — rows are decoder timestamps.
-        scores = workspace.get(key + ".scores", (m, n, q, w),
-                               decoder_state.dtype)
-        np.matmul(summaries.transpose(0, 1, 3, 2), encoder_state,
-                  out=scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        # c_t = sum_t' alpha_tt' e_t'  ==  E @ alpha^T, channel-first.
-        context = workspace.get(key + ".context", (m, n, c, q),
-                                decoder_state.dtype)
-        np.matmul(encoder_state, scores.transpose(0, 1, 3, 2), out=context)
-        context += decoder_state
-        return context
-
-    # ------------------------------------------------------------------
-    # Forward
-    # ------------------------------------------------------------------
     def _decoder_widths(self, first: int) -> List[int]:
         """Columns each causal decoder stage keeps so that the output
         covers columns ``first..w-1``.
@@ -651,82 +709,92 @@ class FusedEnsembleScorer:
             widths.append(min(window, widths[-1] + pack.kernel_size - 1))
         return widths[::-1]
 
-    def _reconstruct(self, windows_cf: np.ndarray, m: int,
-                     workspace: _Workspace, first: int = 0
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """All models' reconstructions of one window batch.
+    def _record(self, workspace: _Workspace, m: int, n: int, first: int,
+                cols: int) -> tuple:
+        """Record the plan ``(inputs, ops, result)`` of ``n`` windows.
 
-        ``windows_cf`` is the channel-first view ``(1, N, D, w)``;
-        returns ``(reconstruction, target)`` as channel-first
-        ``(M, N, out, w - first)`` / broadcastable full-width target in
-        the compute dtype.  ``first`` is the first reconstructed column:
-        the embedding and the encoder (the attention keys) always run at
-        full width, the causal decoder only on the suffix those columns
-        depend on (:meth:`_decoder_widths`).
+        ``ops`` read ``(n, w, D)`` windows from ``inputs``, reconstruct
+        them with ``m`` models from column ``first`` (the embedding and
+        the encoder, the attention keys, at full width, the causal
+        decoder only on the suffix those columns depend on,
+        :meth:`_decoder_widths`) and leave the aggregated errors of the
+        last ``cols`` columns in ``result``, ``(n, cols)``.  Errors
+        reduce over the feature axis in ``(.., w, D)`` layout — the same
+        contiguous last-axis reduction (and summation order) as the
+        per-model loop.
+
+        A recording grows each buffer at most once, at its first
+        request, so no op it writes views a superseded buffer: every key
+        is requested once, except the shared ``"cols"``, whose first
+        request (the full-width encoder unfolding) is its largest.
         """
         config = self.config
-        n = windows_cf.shape[1]
+        rec = _Recorder(workspace, self.dtype, m,
+                        self._expit if self._exact else None)
+        inputs = rec.buffer("input", (n, config.window, config.input_dim))
+        windows_cf = inputs.transpose(0, 2, 1)[None]
         # Embedding: x = tanh(W_v s + b_v) + p  (Section 3.1.1),
         # evaluated channel-first so the conv stack reads contiguously.
-        embedded = workspace.get("embed", (m, n, config.embed_dim,
-                                           config.window), self.dtype)
-        np.matmul(self._embedding.weight[:m], windows_cf, out=embedded)
-        if self._embedding.bias is not None:
-            embedded += self._embedding.bias[:m]
-        np.tanh(embedded, out=embedded)
-        embedded += self._positions[:m]
+        embedded = rec.buffer("embed", (m, n, config.embed_dim,
+                                        config.window))
+        rec.op(np.matmul, self._embedding.weight[:m], windows_cf, embedded)
+        rec.add_bias(embedded, self._embedding.bias)
+        rec.op(np.tanh, embedded, embedded)
+        rec.op(np.add, embedded, self._positions[:m], embedded)
 
         encoder_states: List[np.ndarray] = []
         state = embedded
         for layer, block in enumerate(self._encoder):
             key = f"enc{layer}"
-            gated = self._glu(state, block, m, workspace, key) \
-                if "glu_v" in block else state
-            hidden = self._conv(gated, block["conv"], m, workspace, key)
-            np.maximum(hidden, 0.0, out=hidden)
-            hidden += state
+            gated = rec.glu(state, block, key) if "glu_v" in block \
+                else state
+            hidden = rec.conv(gated, block["conv"], key)
+            rec.op(np.maximum, hidden, 0.0, out=hidden)
+            rec.op(np.add, hidden, state, hidden)
             encoder_states.append(hidden)
             state = hidden
 
         # Decoder input: embedded window shifted right by one step.
         widths = iter(self._decoder_widths(first))
         width = next(widths)
-        shifted = workspace.get("shift",
-                                (m, n, config.embed_dim, width), self.dtype)
+        shifted = rec.buffer("shift", (m, n, config.embed_dim, width))
         if width == config.window:
-            shifted[..., 0] = 0.0
-            shifted[..., 1:] = embedded[..., :-1]
+            rec.op(np.ndarray.fill, shifted[..., 0], 0.0)
+            rec.op(np.copyto, shifted[..., 1:], embedded[..., :-1])
         else:
-            shifted[...] = embedded[..., -width - 1:-1]
+            rec.op(np.copyto, shifted, embedded[..., -width - 1:-1])
         decoder_state = shifted
         for layer, block in enumerate(self._decoder):
             key = f"dec{layer}"
-            gated = self._glu(decoder_state, block, m, workspace, key,
-                              next(widths)) \
+            gated = rec.glu(decoder_state, block, key, next(widths)) \
                 if "glu_v" in block else decoder_state
-            hidden = self._conv(gated, block["conv"], m, workspace, key,
-                                next(widths))
+            hidden = rec.conv(gated, block["conv"], key, next(widths))
             width = hidden.shape[-1]
-            hidden += encoder_states[layer][..., -width:]
-            np.maximum(hidden, 0.0, out=hidden)
-            hidden += decoder_state[..., -width:]
+            rec.op(np.add, hidden, encoder_states[layer][..., -width:],
+                   hidden)
+            rec.op(np.maximum, hidden, 0.0, out=hidden)
+            rec.op(np.add, hidden, decoder_state[..., -width:], hidden)
             decoder_state = hidden
             if config.use_attention:
-                decoder_state = self._attend(
+                decoder_state = rec.attend(
                     decoder_state, encoder_states[layer],
-                    self._attention[layer], m, workspace, f"att{layer}")
+                    self._attention[layer], f"att{layer}")
 
         final = decoder_state
         if self._output_glu is not None:
-            final = self._glu(final, self._output_glu, m, workspace, "out",
-                              next(widths))
-        reconstructed = self._conv(final, self._reconstruction, m,
-                                   workspace, "recon")
-        if config.reconstruct == "observations":
-            target = windows_cf
-        else:
-            target = embedded
-        return reconstructed, target
+            final = rec.glu(final, self._output_glu, "out", next(widths))
+        reconstructed = rec.conv(final, self._reconstruction, "recon")
+        target = windows_cf if config.reconstruct == "observations" \
+            else embedded
+
+        reconstructed = reconstructed[..., -cols:]
+        diff = rec.buffer("diff", (m, n, cols, reconstructed.shape[2]))
+        rec.op(np.subtract, reconstructed.transpose(0, 1, 3, 2),
+               target[..., -cols:].transpose(0, 1, 3, 2), diff)
+        rec.op(np.multiply, diff, diff, diff)
+        errors = rec.buffer("errors", (m, n, cols))
+        rec.op(np.add.reduce, diff, -1, None, errors)
+        return inputs, rec.ops, rec.aggregate(errors, self.aggregation)
 
     def _prepare_windows(self, windows: np.ndarray) -> np.ndarray:
         """Validate ``(N, w, D)`` windows.  They are not cast here: each
@@ -746,13 +814,6 @@ class FusedEnsembleScorer:
         if m < 1:
             raise ValueError("n_models must be >= 1")
         return m
-
-    def _aggregate(self, errors: np.ndarray) -> np.ndarray:
-        if self.aggregation == "median":
-            aggregated = np.median(errors, axis=0)
-        else:
-            aggregated = errors.mean(axis=0)
-        return np.asarray(aggregated, dtype=np.float64)
 
     # The fused working set scales with M x chunk: ~128 model-window rows
     # keeps the largest buffers a few MB (cache-resident) for paper-sized
@@ -782,30 +843,25 @@ class FusedEnsembleScorer:
     def _score_chunk(self, windows: np.ndarray, m: int, first: int,
                      out: np.ndarray, workspace: _Workspace) -> None:
         """Score one chunk of ``(n, w, D)`` windows into ``out``'s rows:
-        the last ``out.shape[1]`` columns, reconstructed from ``first``."""
-        if windows.dtype != self.dtype:
-            cast = workspace.get("input", windows.shape, self.dtype)
-            cast[...] = windows
-            windows = cast
-        reconstruction, target = self._reconstruct(
-            windows.transpose(0, 2, 1)[None], m, workspace, first)
-        # Errors reduce over the feature axis in (.., w, D) layout — the
-        # same contiguous last-axis reduction (and therefore the same
-        # summation order) as the per-model loop.
-        cols = out.shape[1]
-        reconstruction = reconstruction[..., -cols:]
-        mm, nn, c, _ = reconstruction.shape
-        diff = workspace.get("diff", (mm, nn, cols, c), self.dtype)
-        np.subtract(reconstruction.transpose(0, 1, 3, 2),
-                    target[..., -cols:].transpose(0, 1, 3, 2), out=diff)
-        diff *= diff
-        out[...] = self._aggregate(diff.sum(axis=-1))
+        the last ``out.shape[1]`` columns, reconstructed from ``first``,
+        by replaying the workspace's plan for this shape (recorded on
+        first use).  A replay counts as one workspace reuse."""
+        key = (m, windows.shape[0], first, out.shape[1])
+        plan = workspace.plans.get(key)
+        if plan is None:
+            plan = workspace.plans[key] = self._record(workspace, *key)
+        workspace.reuses += 1
+        inputs, ops, result = plan
+        np.copyto(inputs, windows, casting="unsafe")
+        for fn, args, kwargs in ops:
+            fn(*args, **kwargs)
+        out[...] = result
 
     def _score_chunks(self, windows: np.ndarray, n_models: Optional[int],
                       first: int, last: bool) -> np.ndarray:
         """The chunk loop behind both public entry points.
 
-        Reconstructs from column ``first`` (:meth:`_reconstruct`) and
+        Reconstructs from column ``first`` (:meth:`_record`) and
         scores every column, ``(N, w)``, or with ``last`` only each
         window's last one, ``(N,)``.
 
@@ -888,7 +944,7 @@ class FusedEnsembleScorer:
         The streaming micro-batch path, and the tail of batch
         ``CAEEnsemble.score``.  On the float32 fast path the
         decoder runs only on the causal suffix the last column depends
-        on (``_reconstruct(first=w-1)``), which agrees with
+        on (``first=w-1``, :meth:`_record`), which agrees with
         ``window_scores(...)[:, -1]`` within ``1e-5`` relative: BLAS may
         round a column differently in a narrower GEMM.  The float64 exact
         path reconstructs full width and stays identical to it.  Either

@@ -21,25 +21,27 @@ def sliding_windows(series: np.ndarray, window: int,
                     stride: int = 1) -> np.ndarray:
     """Slice ``(L, D)`` into overlapping windows ``(N, window, D)``.
 
-    Windows are zero-copy read-only views
-    (:func:`numpy.lib.stride_tricks.sliding_window_view`) — callers that
-    mutate must copy; the scoring paths consume the view directly so a
-    series is never materialised ``window``-fold.
+    Windows are zero-copy read-only strided views — callers that mutate
+    must copy; the scoring paths consume the view directly so a series is
+    never materialised ``window``-fold.
     ``N = floor((L - window) / stride) + 1``.
     """
     series = np.ascontiguousarray(series)
     if series.ndim != 2:
         raise ValueError(f"expected (L, D) series, got shape {series.shape}")
-    length, _ = series.shape
+    length, dims = series.shape
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     if window > length:
         raise ValueError(f"window {window} longer than series {length}")
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
-    # (L - w + 1, D, w) -> stride the window starts -> (N, w, D) view.
-    view = np.lib.stride_tricks.sliding_window_view(series, window, axis=0)
-    return view[::stride].transpose(0, 2, 1)
+    # Window i starts at row i * stride; its rows and columns are the
+    # series' own.
+    row, column = series.strides
+    return np.lib.stride_tricks.as_strided(
+        series, shape=((length - window) // stride + 1, window, dims),
+        strides=(row * stride, row, column), writeable=False)
 
 
 def sample_windows(series: np.ndarray, window: int, cap: Optional[int],

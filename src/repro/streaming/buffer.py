@@ -53,9 +53,27 @@ def _validate_rows(rows: np.ndarray, dims: int) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != dims:
         raise ValueError(f"expected (B, {dims}) observations, "
                          f"got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("observations contain NaN or infinite values")
+    require_finite(rows)
     return rows
+
+
+def require_finite(rows: np.ndarray) -> None:
+    if not np.isfinite(rows).all():
+        raise ValueError("observations contain NaN or infinite values")
+
+
+def _ring_write(ring: np.ndarray, count: int, rows: np.ndarray) -> int:
+    """Write ``rows`` into ``ring`` after ``count`` earlier rows, as at
+    most two contiguous slices, and return the new count.  Only the last
+    ``len(ring)`` rows are written: older ones would be overwritten."""
+    capacity = ring.shape[0]
+    kept = rows[-capacity:]
+    start = (count + rows.shape[0] - kept.shape[0]) % capacity
+    head = min(kept.shape[0], capacity - start)
+    ring[start:start + head] = kept[:head]
+    if head < kept.shape[0]:
+        ring[:kept.shape[0] - head] = kept[head:]
+    return count + rows.shape[0]
 
 
 class SlidingWindow:
@@ -114,19 +132,13 @@ class SlidingWindow:
 
     def push_many(self, observations: np.ndarray) -> None:
         """Append a batch ``(B, dims)`` in one vectorised write."""
-        rows = _validate_rows(observations, self.dims)
-        n = rows.shape[0]
-        if n == 0:
-            return
-        if n > self.window:
-            # Older rows of the batch would be overwritten immediately.
-            self._count += n - self.window
-            rows = rows[-self.window:]
-            n = self.window
-        slots = (self._count + np.arange(n)) % self.window
-        self._buffer[slots] = rows
-        self._buffer[slots + self.window] = rows
-        self._count += n
+        self.push_validated(_validate_rows(observations, self.dims))
+
+    def push_validated(self, rows: np.ndarray) -> None:
+        """Append already-validated ``(B, dims)`` float64 rows."""
+        _ring_write(self._buffer[:self.window], self._count, rows)
+        self._count = _ring_write(self._buffer[self.window:], self._count,
+                                  rows)
 
     def view(self) -> np.ndarray:
         """Read-only ``(window, dims)`` view of the current window."""
@@ -209,17 +221,10 @@ class HistoryBuffer:
         self.push_many(_validate_rows(observation, self.dims))
 
     def push_many(self, observations: np.ndarray) -> None:
-        rows = _validate_rows(observations, self.dims)
-        n = rows.shape[0]
-        if n == 0:
-            return
-        if n > self.capacity:
-            self._count += n - self.capacity
-            rows = rows[-self.capacity:]
-            n = self.capacity
-        slots = (self._count + np.arange(n)) % self.capacity
-        self._buffer[slots] = rows
-        self._count += n
+        self.push_validated(_validate_rows(observations, self.dims))
+
+    def push_validated(self, rows: np.ndarray) -> None:
+        self._count = _ring_write(self._buffer, self._count, rows)
 
     def to_array(self) -> np.ndarray:
         """Chronological copy ``(len, dims)`` of the buffered history."""
@@ -311,7 +316,9 @@ class _BlockReservoir:
         self.push_many(_validate_rows(observation, self.dims))
 
     def push_many(self, observations: np.ndarray) -> None:
-        rows = _validate_rows(observations, self.dims)
+        self.push_validated(_validate_rows(observations, self.dims))
+
+    def push_validated(self, rows: np.ndarray) -> None:
         cursor = 0
         while cursor < rows.shape[0]:
             take = min(self.block - self._fill, rows.shape[0] - cursor)

@@ -49,7 +49,8 @@ import numpy as np
 from ..core.ensemble import CAEEnsemble
 from ..datasets.windows import sliding_windows
 from ..obs import default_registry, default_tracer
-from .buffer import HistoryBuffer, SlidingWindow, history_buffer_from_state
+from .buffer import (HistoryBuffer, SlidingWindow, history_buffer_from_state,
+                     require_finite)
 from .calibration import calibrator_from_state
 from .coordinator import (REFIRE_POLICIES, AdmissionClosed,
                           CoordinatedRefreshClient, RefreshCoordinator)
@@ -472,6 +473,8 @@ class StreamingDetector:
                 observations.shape[1] != self._window.dims:
             raise ValueError(f"expected (B, {self._window.dims}) "
                              f"observations, got {observations.shape}")
+        # Validated once, before either buffer is touched.
+        require_finite(observations)
         n = observations.shape[0]
         obs = self._obs
         tick = time.perf_counter() if obs.enabled else 0.0
@@ -494,8 +497,8 @@ class StreamingDetector:
             # Zero-copy: the windows stay a strided view over the batch
             # context; scoring scales/casts into reused buffers.
             windows = sliding_windows(context, window)
-        self._window.push_many(observations)
-        self._history.push_many(observations)
+        self._window.push_validated(observations)
+        self._history.push_validated(observations)
         return PreparedBatch(n=n, first_scoreable=first_scoreable,
                              windows=windows, ensemble=self.ensemble,
                              tick=tick)

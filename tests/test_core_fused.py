@@ -9,9 +9,11 @@ architecture toggle, streaming refresh swaps and save/load round-trips,
 plus the causal-suffix ``score_windows_last`` over a grid of windows,
 kernel sizes and depths, and batch ``score``, which decodes every window
 after the first through it.  The chunk-parallel loop must give the same
-bytes at any forced worker count.
+bytes at any forced worker count, and the replayed scoring plans the
+same float32 bytes as the executing forward they replaced.
 """
 
+import hashlib
 import multiprocessing
 import sys
 import threading
@@ -29,6 +31,7 @@ from repro.datasets.windows import (sliding_windows,
 from repro.nn import inference_dtype, inference_precision
 from repro.obs import NullRegistry
 from tests.conftest import sine_regime
+from tests.test_core_fused_training import platform_fingerprint
 
 
 def make_series(dims: int, length: int = 320, seed: int = 0) -> np.ndarray:
@@ -598,3 +601,189 @@ class TestAfterRefreshAndPersistence:
                                          index=100)
         assert replacement._fused_scorer is not None
         assert_fused_equivalent(replacement, make_series(2, seed=9))
+
+
+# The float32 score battery the golden digest pins: every architecture
+# toggle (and mean aggregation) at 5 models, scored at B in {1, 2, 5, 40}
+# through window_scores and score_windows_last, plus batch score, each
+# with the full ensemble (odd median), 4 models (even median) and 1.
+SCORE_BATTERY = [{}, {"use_glu": False}, {"use_attention": False},
+                 {"use_glu": False, "use_attention": False},
+                 {"reconstruct": "embedding"}, {"position_mode": "table"},
+                 {"kernel_size": 5}, {"n_layers": 1},
+                 {"aggregation": "mean"}]
+
+
+def score_battery_digest() -> str:
+    digest = hashlib.sha256()
+    for index, overrides in enumerate(SCORE_BATTERY):
+        overrides = dict(overrides)
+        aggregation = overrides.pop("aggregation", "median")
+        overrides.setdefault("n_layers", 2)
+        config = CAEConfig(input_dim=3, embed_dim=8, window=8, **overrides)
+        ensemble = CAEEnsemble(config, EnsembleConfig(
+            n_models=5, seed=0, aggregation=aggregation))
+        root = np.random.default_rng(index)
+        ensemble.models = [CAE(config, np.random.default_rng(
+            root.integers(2 ** 32))) for _ in range(5)]
+        ensemble.scaler = StandardScaler().fit(make_series(3, seed=index))
+        series = make_series(3, length=60, seed=index + 50)
+        windows = sliding_windows(ensemble._transform(series), 8)
+        with inference_precision(np.float32):
+            scorer = ensemble.fused_scorer()
+            for n_models in (None, 4, 1):
+                for batch in (1, 2, 5, 40):
+                    for scores in (
+                            scorer.window_scores(windows[:batch], n_models),
+                            scorer.score_windows_last(windows[:batch],
+                                                      n_models)):
+                        digest.update(scores.tobytes())
+                digest.update(ensemble.score(
+                    series, n_models=n_models).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def array_root(array: np.ndarray) -> np.ndarray:
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def plan_arrays(plan):
+    """Every array a recorded plan reads or writes."""
+    inputs, ops, result = plan
+    arrays = [inputs, result]
+    for _, args, kwargs in ops:
+        arrays.extend(value for value in (*args, *kwargs.values())
+                      if isinstance(value, np.ndarray))
+    return arrays
+
+
+class TestReplayedPlans:
+    """The forward is recorded once per chunk shape and replayed as a flat
+    list of NumPy calls: bit-identical scores, plans that die with the
+    buffers they view, one set of plans per thread."""
+
+    # The digest of score_battery_digest() taken from the executing
+    # forward the plans replaced, and the numpy/OpenBLAS fingerprint it
+    # was taken with.
+    GOLDEN_DIGEST = "381f417d8b689085"
+    GOLDEN_PLATFORM = "70766577d28813e8"
+
+    def test_float32_scores_match_golden_digest(self):
+        if platform_fingerprint() != self.GOLDEN_PLATFORM:
+            pytest.skip("other BLAS/ufunc kernels round differently; the "
+                        "digest pins this platform's bits")
+        assert score_battery_digest() == self.GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("aggregation", ["median", "mean"])
+    def test_aggregate_matches_numpy_bit_for_bit(self, aggregation, m,
+                                                 dtype):
+        rng = np.random.default_rng(m)
+        errors = rng.standard_normal((m, 40, 3)).astype(dtype) ** 2
+        errors[:, :10] = rng.integers(0, 3, (m, 10, 3))     # ties
+        errors[0, 10, 0] = np.nan
+        errors[m - 1, 11, 1] = np.inf
+        expected = np.median(errors, axis=0) if aggregation == "median" \
+            else errors.mean(axis=0)
+        recorder = fused._Recorder(fused._Workspace(), np.dtype(dtype), m)
+        scratch = errors.copy()
+        result = recorder.aggregate(scratch, aggregation)
+        for fn, args, kwargs in recorder.ops:
+            fn(*args, **kwargs)
+        assert result.dtype == expected.dtype
+        assert result.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("window, kernel_size", [(2, 7), (3, 9)])
+    def test_padding_wider_than_the_window(self, window, kernel_size):
+        """A ``same`` pad wider than the window zeroes whole im2col rows:
+        scores do not depend on what the shared unfolding buffer held."""
+        config = CAEConfig(input_dim=2, embed_dim=4, window=window,
+                           kernel_size=kernel_size, n_layers=2)
+        ensemble = CAEEnsemble(config, EnsembleConfig(n_models=3, seed=0))
+        ensemble.models = [CAE(config, np.random.default_rng(seed))
+                           for seed in range(3)]
+        series = make_series(2, length=40, seed=4)
+        ensemble.scaler = StandardScaler().fit(series)
+        windows = np.stack([series[i:i + window] for i in range(9)])
+        with inference_precision(np.float64):
+            workspace = ensemble.fused_scorer()._workspaces(1)[0]
+            workspace.get("cols", (1 << 14,), np.float64).fill(np.nan)
+            np.testing.assert_array_equal(
+                ensemble.score(series), ensemble.score(series, fused=False))
+            np.testing.assert_array_equal(
+                ensemble.window_scores(series),
+                ensemble.window_scores(series, fused=False))
+            np.testing.assert_array_equal(
+                ensemble.score_windows_last(windows),
+                ensemble.score_windows_last(windows, fused=False))
+
+    def test_cycling_batch_sizes_keep_allocs_flat(self, monkeypatch):
+        scorer, windows = TestChunkParallel.scorer_and_windows(64)
+        force_cores(monkeypatch, 1)
+        workspace = scorer._workspaces(1)[0]
+        first = [scorer.score_windows_last(windows[:size])
+                 for size in (1, 64)]
+        allocs = workspace.allocs
+        for size, expected in zip((1, 64), first):
+            np.testing.assert_array_equal(
+                scorer.score_windows_last(windows[:size]), expected)
+        assert workspace.allocs == allocs
+        # One plan per chunk shape: 1 window, and 25 + 25 + 14.
+        assert sorted(key[1] for key in workspace.plans) == [1, 14, 25]
+
+    def test_plans_view_only_current_buffers(self, monkeypatch):
+        scorer, windows = TestChunkParallel.scorer_and_windows(64)
+        force_cores(monkeypatch, 1)
+        workspace = scorer._workspaces(1)[0]
+        for size in (1, 64, 3, 64, 2):      # grows, then reuses
+            scorer.window_scores(windows[:size])
+            scorer.score_windows_last(windows[:size])
+        _, arrays = scorer.export_pack()
+        owners = {id(array_root(array)) for array in arrays.values()} | {
+            id(buffer) for buffer in workspace._buffers.values()}
+        assert workspace.plans
+        for plan in workspace.plans.values():
+            assert all(id(array_root(array)) in owners
+                       for array in plan_arrays(plan))
+        # Growing a buffer drops every plan recorded before it.
+        workspace.get("cols", (1 << 20,), scorer.dtype)
+        assert not workspace.plans
+
+    def test_plans_are_per_thread(self, monkeypatch):
+        scorer, windows = TestChunkParallel.scorer_and_windows(163)
+        force_cores(monkeypatch, 2)
+        scorer.window_scores(windows)          # 7 chunks: 2 spans
+        spans = scorer._workspaces(2)
+        assert all(workspace.plans for workspace in spans)
+        for workspace in spans:
+            buffers = {id(buffer) for buffer in workspace._buffers.values()}
+            for inputs, _, _ in workspace.plans.values():
+                assert id(array_root(inputs)) in buffers
+        other = []
+        thread = threading.Thread(target=lambda: other.append(
+            (scorer.window_scores(windows[:5]), scorer._workspaces(1)[0])))
+        thread.start()
+        thread.join(30.0)
+        scores, workspace = other[0]
+        assert workspace not in spans and workspace.plans
+        np.testing.assert_array_equal(scores, scorer.window_scores(
+            windows[:5]))
+
+    def test_replays_count_as_workspace_reuses(self):
+        from repro.obs import MetricsRegistry
+        ensemble, _, windows = TestChunkParallel.batch(30)
+        registry = MetricsRegistry()
+        scorer = FusedEnsembleScorer(ensemble.models, ensemble.cae_config,
+                                     registry=registry)
+        allocs = registry.counter("repro_fused_workspace_allocs_total")
+        reuses = registry.counter("repro_fused_workspace_reuses_total")
+        scorer.score_windows_last(windows[:2])
+        settled, seen = allocs.value, reuses.value
+        for _ in range(3):
+            scorer.score_windows_last(windows[:2])
+            assert allocs.value == settled
+            assert reuses.value == seen + 1
+            seen = reuses.value

@@ -135,3 +135,19 @@ class TestScoreMapping:
         scores = np.random.default_rng(1).random((n, window))
         out = window_scores_to_observation_scores(scores, window)
         np.testing.assert_array_equal(out[window:], scores[1:, -1])
+
+
+class TestStridedView:
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_matches_sliding_window_view(self, stride):
+        """Same values, shape and strides as the windows transposed out
+        of ``sliding_window_view``, and read-only."""
+        series = np.arange(60.0).reshape(20, 3)
+        windows = sliding_windows(series, 5, stride)
+        reference = np.lib.stride_tricks.sliding_window_view(
+            series, 5, axis=0)[::stride].transpose(0, 2, 1)
+        assert windows.shape == reference.shape
+        assert windows.strides == reference.strides
+        np.testing.assert_array_equal(windows, reference)
+        assert not windows.flags.writeable
+        assert np.shares_memory(windows, series)

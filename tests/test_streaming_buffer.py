@@ -109,3 +109,55 @@ class TestHistoryBuffer:
         clone.load_state_dict(history.state_dict())
         np.testing.assert_array_equal(clone.to_array(), history.to_array())
         assert clone.total_pushed == history.total_pushed
+
+
+def fancy_index_ring(capacity: int, mirrored: bool, batches):
+    """The ring writes the slice writes replaced: one ``np.arange``
+    fancy index per batch (written twice for the doubled window)."""
+    ring = np.zeros((2 * capacity if mirrored else capacity, 2))
+    count = 0
+    for rows in batches:
+        n = rows.shape[0]
+        if n == 0:
+            continue
+        if n > capacity:
+            count += n - capacity
+            rows = rows[-capacity:]
+            n = capacity
+        slots = (count + np.arange(n)) % capacity
+        ring[slots] = rows
+        if mirrored:
+            ring[slots + capacity] = rows
+        count += n
+    return ring, count
+
+
+class TestSliceWrites:
+    """Slice writes leave the rings exactly as the fancy-index writes
+    did: across wrap-around, for oversized batches and for empty ones."""
+
+    BATCHES = [0, 3, 1, 4, 0, 2, 9, 5, 0, 1, 1, 7, 13]
+
+    @pytest.mark.parametrize("capacity", [1, 4, 5])
+    def test_rings_match_fancy_index_writes(self, capacity):
+        rng = np.random.default_rng(capacity)
+        batches = [rng.standard_normal((n, 2)) for n in self.BATCHES]
+        window = SlidingWindow(window=capacity, dims=2)
+        history = HistoryBuffer(capacity=capacity, dims=2)
+        for end, rows in enumerate(batches, start=1):
+            window.push_many(rows)
+            history.push_many(rows)
+            for buffer, mirrored in ((window, True), (history, False)):
+                ring, count = fancy_index_ring(capacity, mirrored,
+                                               batches[:end])
+                np.testing.assert_array_equal(buffer._buffer, ring)
+                assert buffer.total_pushed == count
+
+    def test_push_many_still_validates(self):
+        for buffer in (SlidingWindow(window=3, dims=2),
+                       HistoryBuffer(capacity=3, dims=2)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                buffer.push_many(np.array([[0.0, 1.0], [np.inf, 0.0]]))
+            with pytest.raises(ValueError):
+                buffer.push_many(np.zeros((2, 3)))
+            assert buffer.total_pushed == 0

@@ -98,6 +98,22 @@ class TestStreamingDetector:
             StreamingDetector(stream_ensemble, history=2)
         assert detector.update_batch(np.zeros((0, 2))) == []
 
+    def test_non_finite_rows_leave_both_buffers_untouched(self,
+                                                         stream_ensemble):
+        detector = StreamingDetector(stream_ensemble, history=64)
+        detector.warm_up(sine_regime(10, start=350))
+        rows = sine_regime(3, start=360)
+        rows[2, 1] = np.nan
+        window = detector._window._buffer.copy()
+        history = detector._history.to_array()
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            detector.prepare_update(rows)
+        np.testing.assert_array_equal(detector._window._buffer, window)
+        assert detector._window.total_pushed == 10
+        np.testing.assert_array_equal(detector._history.to_array(), history)
+        assert detector._history.total_pushed == 10
+        assert detector.n_observations == 0
+
 
 class TestStreamFleet:
     def test_streams_are_isolated_but_share_the_ensemble(
