@@ -85,6 +85,12 @@ from ..obs import default_registry
 from .config import CAEConfig
 
 
+# Recorded plans one workspace keeps (:class:`_Workspace`).  A serving
+# path replays a handful of batch shapes; batch scoring adds at most one
+# partial-chunk shape per call.
+MAX_PLANS = 32
+
+
 class _Workspace:
     """Scratch buffers keyed by call site, kept at their largest size.
 
@@ -101,7 +107,10 @@ class _Workspace:
     the fused trainer keeps one per fit.
 
     ``plans`` holds the scorer's recorded forwards (:class:`_Recorder`)
-    by chunk shape.  They are views into these buffers, so every
+    by chunk shape, at most ``MAX_PLANS`` of them: a new shape beyond
+    that drops the oldest (each plan is ~30 kB of views and op tuples,
+    and batch lengths that vary freely would otherwise record one per
+    partial-chunk size).  They are views into these buffers, so every
     (re)allocation drops them all: no plan keeps a superseded buffer
     alive.
 
@@ -845,11 +854,15 @@ class FusedEnsembleScorer:
         """Score one chunk of ``(n, w, D)`` windows into ``out``'s rows:
         the last ``out.shape[1]`` columns, reconstructed from ``first``,
         by replaying the workspace's plan for this shape (recorded on
-        first use).  A replay counts as one workspace reuse."""
+        first use; beyond ``MAX_PLANS`` the oldest is dropped).  A
+        replay counts as one workspace reuse."""
         key = (m, windows.shape[0], first, out.shape[1])
         plan = workspace.plans.get(key)
         if plan is None:
-            plan = workspace.plans[key] = self._record(workspace, *key)
+            plan = self._record(workspace, *key)
+            if len(workspace.plans) >= MAX_PLANS:
+                del workspace.plans[next(iter(workspace.plans))]
+            workspace.plans[key] = plan
         workspace.reuses += 1
         inputs, ops, result = plan
         np.copyto(inputs, windows, casting="unsafe")

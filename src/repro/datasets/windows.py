@@ -37,11 +37,14 @@ def sliding_windows(series: np.ndarray, window: int,
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
     # Window i starts at row i * stride; its rows and columns are the
-    # series' own.
+    # series' own.  A bare ndarray over the series' buffer is the same
+    # view as ``as_strided`` at a fraction of its per-call cost.
     row, column = series.strides
-    return np.lib.stride_tricks.as_strided(
-        series, shape=((length - window) // stride + 1, window, dims),
-        strides=(row * stride, row, column), writeable=False)
+    view = np.ndarray(((length - window) // stride + 1, window, dims),
+                      series.dtype, buffer=series, offset=0,
+                      strides=(row * stride, row, column))
+    view.flags.writeable = False
+    return view
 
 
 def sample_windows(series: np.ndarray, window: int, cap: Optional[int],

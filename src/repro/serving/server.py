@@ -43,9 +43,21 @@ to the queue is scored and answered, late arrivals get
 ``checkpoint_dir`` is configured) and connections close.  Nothing
 admitted is ever dropped.
 
-All fleet access runs on one executor thread — the fleet objects are
-not thread-safe, and a single serialised scoring lane keeps the event
-loop free to accept/read while a batch scores.
+Threading
+---------
+All fleet access runs on one scoring lane, one thread at a time — the
+fleet objects are not thread-safe.  For an in-process
+:class:`~repro.streaming.multi.StreamFleet` the lane is the event-loop
+thread itself: a flush scores inline, so no request pays a hop to
+another thread and back, nor the GIL handoffs between that thread and
+the loop.  Frames that arrive during a flush wait in the socket and are
+read before the next one, so coalescing is unchanged.  Any other fleet
+(a :class:`~repro.runtime.fleet.ShardedFleet`, whose calls wait on shard
+pipes, or a duck-typed stand-in) keeps a one-worker executor thread as
+its lane, which leaves the loop free to answer ``request_timeout``
+while a shard is wedged.  A served ``StreamFleet`` should refresh with
+``refresh_mode="async"``: an inline refresh build holds the event loop
+for the build's duration.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ import numpy as np
 from .. import faults
 from ..metrics.events import fleet_refresh_report_from_registry
 from ..obs import default_registry, render_prometheus
+from ..streaming.multi import StreamFleet
 from .protocol import (FrameError, read_frame, render_update,
                        write_frame)
 
@@ -128,7 +141,10 @@ class DetectionServer:
                       object with ``update_batch``/``update_many``/
                       ``warm_up``/``telemetry``; coalescing engages when
                       it also has ``update_coalesced``).  The server
-                      borrows the fleet — it never shuts it down.
+                      borrows the fleet — it never shuts it down.  A
+                      ``StreamFleet`` is scored on the event-loop
+                      thread, any other fleet on a one-worker lane
+                      thread (module docstring).
     host, port:       bind address; ``port=0`` picks an ephemeral port,
                       readable from :attr:`port` after :meth:`start`.
     coalesce:         ``False`` scores every request in its own
@@ -149,7 +165,10 @@ class DetectionServer:
                       blocking its connection forever.  The underlying
                       flush keeps running — a late result is simply
                       dropped; every admitted request is answered
-                      exactly once either way.
+                      exactly once either way.  A deadline can fire
+                      mid-flush only on a lane fleet; an inline
+                      ``StreamFleet`` flush holds the loop until it
+                      returns.
     checkpoint_dir:   when set, :meth:`stop` checkpoints the fleet here
                       after the drain.
     registry:         metrics registry (``None`` binds the process
@@ -192,8 +211,11 @@ class DetectionServer:
         self._connections: set = set()
         self._draining = False
         self._stopped = False
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serving-fleet")
+        # An in-process fleet scores on the loop thread; anything else
+        # gets its own one-worker lane (see the module docstring).
+        self._executor = None if isinstance(fleet, StreamFleet) \
+            else concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="serving-fleet")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -248,8 +270,7 @@ class DetectionServer:
         if self._dispatcher is not None:
             await self._dispatcher
         if self.checkpoint_dir is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._checkpoint)
+            await self._run_on_fleet(self._checkpoint)
         for writer in list(self._connections):
             writer.close()
         for writer in list(self._connections):
@@ -258,7 +279,8 @@ class DetectionServer:
             except (ConnectionError, OSError):
                 pass
         self._connections.clear()
-        self._executor.shutdown(wait=True)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
 
     def _checkpoint(self) -> None:
         checkpoint = getattr(self.fleet, "checkpoint", None)
@@ -373,7 +395,10 @@ class DetectionServer:
                     "error": f"{type(exc).__name__}: {exc}"}
 
     async def _run_on_fleet(self, fn, *args):
-        """Run a fleet-touching call on the serialized scoring lane."""
+        """Run a fleet-touching call on the scoring lane: inline on the
+        loop thread for a ``StreamFleet``, else on the lane's thread."""
+        if self._executor is None:
+            return fn(*args)
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, fn, *args)
 
@@ -549,14 +574,18 @@ class DetectionServer:
                     pending.future.set_exception(updates)
                 else:
                     pending.future.set_result(updates)
+            if self._queue:
+                # An inline flush never yields: let this flush's replies
+                # go out (and new frames in) before the next one scores.
+                await asyncio.sleep(0)
 
     def _validate_against_stream(self, per_stream: Dict[str, List[_Pending]],
                                  answers: Dict[int, object]) -> None:
         """Reject requests whose width cannot fit their stream.
 
-        Runs on the executor thread (detector resolution lazily creates
-        streams — never safe from the event-loop thread while scoring
-        runs).  Shape mismatches must be answered *before* the fused
+        Runs on the scoring lane, like every fleet call (detector
+        resolution lazily creates streams, so it must not race a
+        flush).  Shape mismatches must be answered *before* the fused
         call: ``update_coalesced`` mutates stream buffers as it
         prepares, so a mid-batch failure cannot be retried per-stream
         without double-ingesting the already-prepared rows.
@@ -582,7 +611,7 @@ class DetectionServer:
                 del per_stream[stream]
 
     def _score_flush(self, flush: List[_Pending]) -> list:
-        """Score one flush on the executor thread.
+        """Score one flush on the scoring lane.
 
         Requests merge into one per-stream batch map — several requests
         for the *same* stream concatenate in arrival order and split

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional
 import numpy as np
 
 from ..core.ensemble import CAEEnsemble
+from ..obs import default_registry
 from .engine import StreamingDetector, StreamUpdate
 
 
@@ -91,6 +92,12 @@ class StreamFleet:
         self._factory = detector_factory
         self._detectors: Dict[str, StreamingDetector] = {}
         self.coordinator = coordinator
+        # Bound once, like the scorer's and server's instruments: the
+        # process registry current when the fleet is built records it.
+        registry = default_registry()
+        self._coalesce_size = registry.histogram(
+            "repro_fleet_coalesce_size", low=1.0, high=1e4,
+            buckets_per_decade=4) if registry.enabled else None
 
     def __len__(self) -> int:
         return len(self._detectors)
@@ -143,10 +150,10 @@ class StreamFleet:
         setup, im2col) is paid once per *group*, not once per stream.
 
         The fused-group size (streams per scoring call) is observed in
-        the process registry's ``repro_fleet_coalesce_size`` histogram —
-        the serving front-end's proof that coalescing actually happens.
+        the ``repro_fleet_coalesce_size`` histogram of the process
+        registry that was current when the fleet was built — the serving
+        front-end's proof that coalescing actually happens.
         """
-        from ..obs import default_registry
         prepared = []                    # (name, detector, PreparedBatch)
         for name, observations in batches.items():
             detector = self.detector(name)
@@ -157,11 +164,7 @@ class StreamFleet:
         groups: Dict[int, List[int]] = {}
         for position, (_, _, batch) in enumerate(prepared):
             groups.setdefault(id(batch.ensemble), []).append(position)
-        registry = default_registry()
-        coalesce_size = registry.histogram("repro_fleet_coalesce_size",
-                                           low=1.0, high=1e4,
-                                           buckets_per_decade=4) \
-            if registry.enabled else None
+        coalesce_size = self._coalesce_size
         all_scores: List[Optional[np.ndarray]] = [None] * len(prepared)
         for members in groups.values():
             scoreable = [p for p in members
@@ -319,7 +322,6 @@ class StreamFleet:
         Intended as the fleet's single scrape/inspection surface; see
         ``docs/observability.md``.
         """
-        from ..obs import default_registry
         registry = registry if registry is not None else default_registry()
         return {
             "totals": {

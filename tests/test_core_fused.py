@@ -787,3 +787,34 @@ class TestReplayedPlans:
             assert allocs.value == settled
             assert reuses.value == seen + 1
             seen = reuses.value
+
+    def test_plans_are_capped_oldest_first(self, monkeypatch):
+        """Forty partial-chunk sizes (M=2: 64 windows a chunk) keep at
+        most ``MAX_PLANS`` plans, the newest ones, and every size scores
+        bit-identically to a fresh scorer's, evicted ones included."""
+        ensemble = fabricated_ensemble(3, 2)
+        windows = sliding_windows(
+            ensemble._transform(make_series(3, length=47, seed=9)), 8)
+        force_cores(monkeypatch, 1)
+
+        def fresh():
+            return FusedEnsembleScorer(ensemble.models, ensemble.cae_config,
+                                       dtype=np.float32,
+                                       registry=NullRegistry())
+
+        scorer = fresh()
+        workspace = scorer._workspaces(1)[0]
+        sizes = [40] + list(range(1, 40))    # the largest first: no growth
+        assert len(sizes) > fused.MAX_PLANS
+        first = []
+        for size in sizes:
+            first.append(scorer.score_windows_last(windows[:size]))
+            assert len(workspace.plans) <= fused.MAX_PLANS
+        assert [key[1] for key in workspace.plans] == \
+            sizes[-fused.MAX_PLANS:]
+        for size, scores in zip(sizes, first):
+            expected = fresh().score_windows_last(windows[:size]).tobytes()
+            assert scores.tobytes() == expected
+            assert scorer.score_windows_last(windows[:size]).tobytes() \
+                == expected
+        assert len(workspace.plans) == fused.MAX_PLANS

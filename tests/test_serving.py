@@ -11,6 +11,7 @@ where a port must be known up front), so parallel runs never collide.
 
 import asyncio
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from tests.conftest import free_tcp_port, sine_regime
 from repro import obs
 from repro.serving import (DetectionServer, FrameError, ServingClient,
                            encode_frame, split_frames)
-from repro.serving.protocol import MAX_FRAME_BYTES, decode_payload
-from repro.streaming import shared_fleet
+from repro.serving.protocol import (MAX_FRAME_BYTES, decode_payload,
+                                    render_update)
+from repro.streaming import DDMDrift, EnsembleRefresher, shared_fleet
 
 WINDOW = 8          # the stream_ensemble fixture's window length
 
@@ -154,6 +156,158 @@ def test_coalesced_results_bit_identical_to_serial(stream_ensemble):
             assert over_wire["score"] == update.score      # exact
             assert over_wire["threshold"] == update.threshold
             assert over_wire["alert"] == bool(update.alert)
+
+
+# ----------------------------------------------------------------------
+# The scoring lane: the loop thread for a StreamFleet, a worker otherwise
+# ----------------------------------------------------------------------
+def serving_lanes():
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("serving-fleet")]
+
+
+def test_stream_fleet_scores_on_the_event_loop_thread(stream_ensemble):
+    """An in-process fleet is scored inline: every ``update_coalesced``
+    runs on the event loop's own thread, and no ``serving-fleet`` lane
+    thread is ever started."""
+    streams = ["a", "b"]
+    ticks = sine_regime(3, start=64, seed=7)
+
+    async def scenario():
+        fleet = make_fleet(stream_ensemble, streams)
+        seen = []
+        coalesced = fleet.update_coalesced
+
+        def spy(batches):
+            seen.append(threading.get_ident())
+            return coalesced(batches)
+
+        fleet.update_coalesced = spy
+        server = await serve(fleet)
+        clients = await connect_clients(server, len(streams))
+        for row in ticks:
+            replies = await asyncio.gather(*[
+                client.update(name, row)
+                for name, client in zip(streams, clients)])
+            assert all(reply["status"] == "ok" for reply in replies)
+        lanes = serving_lanes()
+        await close_all(server, clients)
+        return threading.get_ident(), seen, lanes
+
+    loop_thread, seen, lanes = asyncio.run(scenario())
+    assert len(seen) >= len(ticks)
+    assert set(seen) == {loop_thread}
+    assert lanes == []
+
+
+def test_inline_flush_answers_before_the_next_flush(stream_ensemble):
+    """An inline flush never yields, so with a backlog the dispatcher
+    yields once between flushes: the first flush's reply has gone out
+    before the second flush scores (as it does with a lane thread)."""
+    registry = obs.MetricsRegistry()
+    answered = registry.counter("repro_serving_responses_total",
+                                status="ok")
+
+    async def scenario():
+        fleet = make_fleet(stream_ensemble, ["a", "b"])
+        seen = []
+        coalesced = fleet.update_coalesced
+
+        def spy(batches):
+            seen.append(answered.value)
+            return coalesced(batches)
+
+        fleet.update_coalesced = spy
+        server = await serve(fleet, max_coalesce=1, registry=registry)
+        clients = await connect_clients(server, 2)
+        row = sine_regime(1, start=64, seed=7)[0]
+        server.pause_dispatch()
+        tasks = []
+        for depth, (name, client) in enumerate(zip("ab", clients), 1):
+            tasks.append(asyncio.create_task(client.update(name, row)))
+            await server.wait_for_queue_depth(depth)
+        server.resume_dispatch()
+        replies = await asyncio.gather(*tasks)
+        await close_all(server, clients)
+        return seen, replies
+
+    seen, replies = asyncio.run(scenario())
+    assert all(reply["status"] == "ok" for reply in replies)
+    assert seen == [0, 1]
+
+
+def test_other_fleets_keep_a_lane_thread():
+    """Any fleet that is not a ``StreamFleet`` (a ``ShardedFleet``, a
+    duck-typed stand-in) is scored on the one-worker lane thread."""
+    from tests.test_chaos import BlockingFleet
+    fleet = BlockingFleet()
+    fleet.block_next = False
+    threads = []
+    coalesced = fleet.update_coalesced
+
+    def spy(batches):
+        threads.append(threading.current_thread().name)
+        return coalesced(batches)
+
+    fleet.update_coalesced = spy
+
+    async def scenario():
+        server = await serve(fleet)
+        [client] = await connect_clients(server, 1)
+        reply = await client.update_batch("stub", sine_regime(2, seed=1))
+        await close_all(server, [client])
+        return reply
+
+    assert asyncio.run(scenario())["status"] == "ok"
+    assert len(threads) == 1
+    assert threads[0].startswith("serving-fleet")
+    assert serving_lanes() == []          # the lane stopped with the server
+
+
+def test_inline_refresh_fleet_served_bit_identical_to_serial(
+        stream_ensemble):
+    """A served fleet with ``refresh_mode="inline"`` builds its
+    replacement ensemble on the loop thread mid-serving; every reply
+    still equals the serial ``update_batch`` run, refresh included."""
+    streams = ["calm", "shifted"]
+
+    def fleet():
+        return make_fleet(
+            stream_ensemble, streams, warm_rows=7,
+            drift_factory=lambda: DDMDrift(min_samples=15),
+            refresher_factory=lambda: EnsembleRefresher(
+                min_history=64, epochs_per_model=1))
+
+    def traffic(name, tick):
+        rows = sine_regime(12, start=7 + 12 * tick, seed=7)
+        return rows + 2.5 if name == "shifted" and tick >= 4 else rows
+
+    ticks = range(14)
+
+    async def scenario():
+        served_fleet = fleet()
+        server = await serve(served_fleet)
+        clients = await connect_clients(server, len(streams))
+        served = {name: [] for name in streams}
+        for tick in ticks:
+            replies = await asyncio.gather(*[
+                client.update_batch(name, traffic(name, tick))
+                for name, client in zip(streams, clients)])
+            for name, reply in zip(streams, replies):
+                assert reply["status"] == "ok"
+                served[name].extend(reply["results"])
+        await close_all(server, clients)
+        return served, served_fleet.detector("shifted").n_refreshes
+
+    served, refreshes = asyncio.run(scenario())
+    assert refreshes >= 1
+    serial_fleet = fleet()
+    for name in streams:
+        serial = [render_update(update) for tick in ticks
+                  for update in serial_fleet.update_batch(
+                      name, traffic(name, tick))]
+        assert served[name] == serial                     # exact
+    assert serial_fleet.detector("shifted").n_refreshes == refreshes
 
 
 def test_same_stream_requests_merge_in_arrival_order(stream_ensemble):
