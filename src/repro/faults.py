@@ -50,7 +50,7 @@ battery schedules over this list):
 ``broker.loop``       broker process, per message handled
 ``fleet.shard.op``    shard server, per command received
 ``fleet.shard.update`` shard server, per scoring/update command only
-``coordinator.build`` in-process coordinator, per build attempt
+``coordinator.build`` any coordinator (broker too), per build attempt
 ``serving.flush``     detection server, per dispatch flush
 ===================== =====================================================
 """

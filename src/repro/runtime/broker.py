@@ -3,26 +3,30 @@
 :class:`~repro.streaming.coordinator.RefreshCoordinator` keeps one
 process honest; a *sharded* fleet has N server processes whose streams
 may drift together, and admission control (bounded concurrency, priority,
-identity dedup, one-build-fans-out-to-K-subscribers) must span all of
-them.  :class:`BuildBroker` moves the coordinator's queue into a broker
+dedup, one-build-fans-out-to-K-subscribers) must span all of them.
+:class:`BuildBroker` hosts one ``RefreshCoordinator`` in a broker
 process:
 
 * server processes submit over a shared inbox queue; each server owns a
   **port** (a reply queue created before the fork, so every process
   inherits the plumbing);
-* the broker drives the same
-  :class:`~repro.streaming.admission.Admission` core as the coordinator
-  (dedup keyed by an explicit ``_broker_key`` — object identity cannot
-  cross a process boundary) and runs each admitted build through its own
+* the broker's loop is only a transport: a submit becomes the hosted
+  coordinator's ``_submit`` (keyed by the ensemble's explicit
+  ``_broker_key`` — object identity cannot cross a process boundary), a
+  cancel its ``_unsubscribe``, and each resolved handle one port reply;
+* the coordinator runs every admitted build through the broker's own
   :class:`~repro.runtime.pool.ProcessBuildPool`, forked inside the
   broker process: one pipe per build worker, so a killed worker fails
   (or, under a retry policy, retries) only its own build and is
-  respawned by the pool;
-* a finished build is published **once** to shared memory; the broker
-  fans the manifest out to every subscribing port, and each server
-  attaches the same segment zero-copy.  When a newer generation for the
-  same ensemble key resolves, the superseded segment is unlinked (live
-  mappings stay valid; new attaches fail over to a local re-pack).
+  respawned by the pool.  Each attempt passes the coordinator's
+  ``coordinator.build`` fault point inside the broker process;
+* a finished build is published **once** to shared memory by its
+  worker; the broker fans the manifest out to every subscribing port,
+  and each server attaches the same segment zero-copy.  When a newer
+  generation for the same ensemble key resolves, the superseded segment
+  is unlinked (live mappings stay valid; new attaches fail over to a
+  local re-pack), and a pack whose build lost every subscriber is
+  unlinked at once.
 
 Failure model — the part the fault-injection battery exercises: clients
 probe the broker process for liveness on every port pump.  A dead broker
@@ -48,13 +52,11 @@ import time
 from typing import Dict, List, Optional
 
 from .. import faults
-from ..core.ensemble import TrainingCancelled
 from ..obs import default_registry
-from ..streaming.admission import (Admission, AdmissionClosed, CancelWorker,
-                                   CoordinatorStats, Dispatch, Resolve)
+from ..streaming.admission import (Admission, AdmissionClosed,
+                                   CoordinatorStats)
 from ..streaming.coordinator import (CoordinatedRefreshClient,
-                                     RefreshCoordinator, RefreshHandle,
-                                     _report_for)
+                                     RefreshCoordinator, RefreshHandle)
 from . import shm
 from .pool import ProcessBuildPool
 from .supervisor import RestartPolicy, RetryPolicy
@@ -67,15 +69,16 @@ _POLL_SECONDS = 0.05
 # ----------------------------------------------------------------------
 def _broker_main(inbox, ports, max_concurrent, policy, namespace,
                  drain_timeout, retry, n_workers, worker_context) -> None:
-    """The broker's message loop: the process transport of the
-    :class:`~repro.streaming.admission.Admission` core.
+    """The broker's message loop: a port transport over one
+    :class:`~repro.streaming.coordinator.RefreshCoordinator`.
 
-    Messages become admission events; the core's actions become builds
-    on the broker's own :class:`~repro.runtime.pool.ProcessBuildPool`
-    (one thread per running attempt, which reports back through a local
-    queue), cancel flags and port replies.  Only the broker's own work
-    lives here: publishing manifests and unlinking the superseded
-    generation.
+    The coordinator admits, dedups, runs each build on the broker's own
+    :class:`~repro.runtime.pool.ProcessBuildPool`, cancels and retries;
+    this loop turns port messages into its ``_submit`` /
+    ``_unsubscribe`` / ``stats`` / ``shutdown`` calls and each resolved
+    handle into one reply.  Only the broker's own work lives in its
+    build runner and ``on_build_done`` hook: forwarding manifests and
+    unlinking the packs no subscriber will attach.
     """
     # The owner still treats this process as a daemon (its copy of the
     # flag is untouched); clearing ours lets the broker fork its pool.
@@ -83,12 +86,32 @@ def _broker_main(inbox, ports, max_concurrent, policy, namespace,
     shm.set_segment_namespace(namespace)
     pool = ProcessBuildPool(n_workers, worker_context=worker_context,
                             namespace=namespace)
-    admission = Admission(max_concurrent, policy, retry)
-    cancels: Dict[int, threading.Event] = {}
-    ended = queue.Queue()              # (kind, build id, result)
-    triggers: Dict[tuple, int] = {}    # (port, request id) -> trigger
-    latest_manifest: Dict[str, dict] = {}
-    deadline = None
+    published: Dict[object, dict] = {}  # build's cancel flag -> manifest
+    latest_manifest: Dict[object, dict] = {}    # dedup key -> manifest
+
+    def run_build(refresher, ensemble, history, index, kwargs, cancel):
+        replacement, report, manifest = pool.run_build(
+            refresher, ensemble, history, kwargs, cancel)
+        if manifest is not None:
+            published[cancel] = manifest
+        # The handle carries a plain tuple: it has no prepare_fused, so
+        # no scorer is packed here, nor pickled into the reply.
+        return (replacement, manifest), report
+
+    def build_done(build):
+        manifest = published.pop(build.payload.cancel, None)
+        if manifest is not None and build.status == "ready":
+            # Live mappings of the superseded generation survive its
+            # unlink; only new attaches fail (and re-pack locally).
+            manifest, latest_manifest[build.key] = \
+                latest_manifest.get(build.key), manifest
+        if manifest is not None:
+            shm.unlink_pack(manifest)       # superseded, or unwanted
+
+    coordinator = RefreshCoordinator(max_concurrent, policy, retry=retry,
+                                     build_runner=run_build)
+    coordinator.on_build_done = build_done
+    pending: Dict[tuple, RefreshHandle] = {}  # (port, request id) -> handle
 
     def reply(port_index, message):
         try:
@@ -96,114 +119,59 @@ def _broker_main(inbox, ports, max_concurrent, policy, namespace,
         except (ValueError, OSError):
             pass
 
-    def run_attempt(build_id, payload, cancel):
-        refresher, ensemble, history, kwargs = payload
-        try:
-            ended.put(("done", build_id, pool.run_build(
-                refresher, ensemble, history, kwargs, cancel)))
-        except TrainingCancelled:
-            ended.put(("cancelled", build_id, None))
-        except Exception as exc:        # WorkerCrashed or the build's own
-            ended.put(("failed", build_id, exc))
+    def reply_resolved():
+        for (port_index, request_id), handle in list(pending.items()):
+            if handle.done.is_set():
+                del pending[(port_index, request_id)]
+                replacement, manifest = handle.replacement or (None, None)
+                reply(port_index, ("resolved", request_id, handle.status,
+                                   replacement, handle.report, manifest,
+                                   handle.error))
 
-    def perform(actions):
-        for action in actions:
-            build = action.build
-            if isinstance(action, Dispatch):
-                cancel = cancels.setdefault(build.id, threading.Event())
-                threading.Thread(target=run_attempt,
-                                 args=(build.id, build.payload, cancel),
-                                 name=f"broker-build-{build.id}",
-                                 daemon=True).start()
-            elif isinstance(action, CancelWorker):
-                cancels[build.id].set()
-            elif isinstance(action, Resolve):
-                cancels.pop(build.id, None)
-                replacement = report = manifest = error = None
-                if action.status == "ready":
-                    replacement, report, manifest = action.result
-                    superseded = latest_manifest.get(build.key)
-                    if manifest is not None:
-                        latest_manifest[build.key] = manifest
-                        if superseded is not None:
-                            # Live mappings survive the unlink; only new
-                            # attaches fail (and fall back to a local
-                            # re-pack).
-                            shm.unlink_pack(superseded)
-                elif action.status == "failed":
-                    error = action.result
-                for subscriber in action.subscribers:
-                    port_index, request_id = subscriber
-                    reply(port_index, (
-                        "resolved", request_id, action.status, replacement,
-                        _report_for(report, triggers.pop(subscriber)),
-                        manifest, error))
-
-    def attempt_ended(kind, build_id, result):
-        if kind == "done":
-            actions = admission.done(build_id, result)
-            manifest = result[2]
-            if manifest is not None and not any(
-                    isinstance(action, Resolve) and action.status == "ready"
-                    for action in actions):
-                shm.unlink_pack(manifest)       # nobody wants it
-        elif kind == "failed":
-            actions = admission.failed(build_id, result, time.monotonic())
-        else:
-            actions = admission.cancelled(build_id)
-        perform(actions)
-
+    deadline = None
     while True:
         try:
             message = inbox.get(timeout=_POLL_SECONDS)
         except queue.Empty:
-            pass
+            message = None
         except (EOFError, OSError):
             break
-        else:
+        if message is not None:
             if faults.enabled:
                 faults.point("broker.loop")
             kind = message[0]
             if kind == "submit":
                 (_, port_index, request_id, key, priority, trigger_index,
-                 refresher, ensemble, history, kwargs) = message
-                subscriber = (port_index, request_id)
+                 generation, refresher, ensemble, history) = message
                 try:
-                    _, actions = admission.submit(
-                        key, subscriber, priority,
-                        (refresher, ensemble, history, kwargs))
+                    pending[(port_index, request_id)] = coordinator._submit(
+                        coordinator.client(refresher, priority=priority),
+                        ensemble, history, trigger_index, generation,
+                        key=key)
                 except AdmissionClosed:
                     reply(port_index, ("resolved", request_id, "discarded",
                                        None, None, None, None))
-                    continue
-                triggers[subscriber] = trigger_index
-                perform(actions)
             elif kind == "cancel":
-                _, port_index, request_id = message
-                triggers.pop((port_index, request_id), None)
-                perform(admission.unsubscribe((port_index, request_id)))
+                handle = pending.pop(message[1:], None)
+                if handle is not None:
+                    coordinator._unsubscribe(handle)
             elif kind == "stats":
                 _, port_index, request_id = message
-                reply(port_index, ("stats", request_id, admission.stats()))
+                reply(port_index, ("stats", request_id, coordinator.stats()))
             elif kind == "shutdown":
                 deadline = time.monotonic() + drain_timeout
-                perform(admission.shutdown())
-        while True:
-            try:
-                attempt_ended(*ended.get_nowait())
-            except queue.Empty:
-                break
-        perform(admission.tick(time.monotonic()))
-        if admission.closed and (not admission.n_running
-                                 or time.monotonic() > deadline):
+                coordinator.shutdown()
+        reply_resolved()
+        if deadline is not None and (coordinator.drain(0)
+                                     or time.monotonic() > deadline):
             break
-    # Drain hit its deadline or every build resolved: abandon stragglers
-    # so no subscriber is left waiting on a queue nobody will feed.
-    perform(admission.shutdown())
-    for build in admission.running:
-        perform(admission.cancelled(build.id))
+    # Every build thread exited or the drain hit its deadline: abandon
+    # stragglers to the pool shutdown, so no subscriber is left waiting
+    # on a queue nobody will feed.
+    coordinator.shutdown()
+    reply_resolved()
     pool.shutdown(timeout=1.0)
-    for manifest in latest_manifest.values():
+    for manifest in list(latest_manifest.values()):
         shm.unlink_pack(manifest)
     shm.sweep_orphans(namespace)
 
@@ -611,8 +579,6 @@ class ProcessCoordinator:
         if hasattr(ensemble, "_fused_scorer"):
             payload = copy.copy(ensemble)
             payload._fused_scorer = None
-        kwargs = dict(generation=generation, trigger_index=trigger_index,
-                      mode="process")
         # Object identity cannot cross a process boundary: the dedup key
         # is the ensemble's explicit broker key, else port-local.
         key = getattr(ensemble, "_broker_key", None)
@@ -620,8 +586,8 @@ class ProcessCoordinator:
             key = f"{port.index}:{id(ensemble)}"
         try:
             port.send(("submit", port.index, request_id, key,
-                       client.priority, trigger_index, client.refresher,
-                       payload, history, kwargs))
+                       client.priority, trigger_index, generation,
+                       client.refresher, payload, history))
         except (ValueError, OSError):
             port.release(handle)
             port._degrade()
@@ -649,14 +615,9 @@ class ProcessCoordinator:
 
     def stats(self) -> CoordinatorStats:
         """The broker's ledger; while it is unreachable, the degraded-mode
-        fallback's (which runs every local build), else an empty one."""
+        fallback's (which runs every local build, and starts empty)."""
         stats = self.port.stats()
-        if stats is not None:
-            return stats
-        if self._fallback is not None:
-            return self._fallback.stats()
-        return Admission(self.port.max_concurrent_builds,
-                         self.port.policy).stats()
+        return stats if stats is not None else self._local().stats()
 
     def state_dict(self) -> Dict[str, object]:
         """Same shape as ``RefreshCoordinator.state_dict`` so sharded

@@ -25,10 +25,9 @@ Transports feed events in and carry out the actions that come back:
 status out to subscribers), :class:`CancelWorker` (stop a running build)
 and :class:`RetryAt` (wait out a backoff, then :meth:`~Admission.tick`).
 :class:`~repro.streaming.coordinator.RefreshCoordinator` drives the core
-with build threads; the process broker
-(:mod:`repro.runtime.broker`) drives it from its message loop.  The
-caller passes ``now`` wherever time matters, so the core is
-deterministic under any clock.
+with build threads, in a server process or hosted by the process broker
+(:mod:`repro.runtime.broker`).  The caller passes ``now`` wherever
+time matters, so the core is deterministic under any clock.
 
 >>> admission = Admission(max_concurrent=1)
 >>> first, actions = admission.submit("ensemble-a", "stream-1")

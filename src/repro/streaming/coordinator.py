@@ -14,8 +14,9 @@ a fleet coordinator gets ``RefreshCoordinator().client(...)``), the same
 machinery runs one stream's builds one at a time.
 
 The coordinator is the thread transport of the pure
-:class:`~repro.streaming.admission.Admission` core, which makes every
-decision:
+:class:`~repro.streaming.admission.Admission` core, and its only driver:
+the process broker (:mod:`repro.runtime.broker`) hosts one over its own
+build pool.  The core makes every decision:
 
 * **Bounded pool** — at most ``max_concurrent_builds`` builds run at
   once; further admissions queue.  Total refresh CPU is capped no matter
@@ -463,10 +464,10 @@ class RefreshCoordinator:
         # restore them (re-attach one after from_state).
         self.build_runner = build_runner
         self.breaker_factory = breaker_factory
-        # Per-ensemble breakers, keyed by ensemble identity — the same
-        # notion the dedup uses.  Entries live as long as the
-        # coordinator; fleets hold their ensembles for their lifetime.
-        self._breakers: Dict[int, object] = {}
+        # Per-ensemble breakers, keyed by the dedup key.  Entries live
+        # as long as the coordinator; fleets hold their ensembles for
+        # their lifetime.
+        self._breakers: Dict[object, object] = {}
         self.on_build_start: Optional[Callable] = None
         self.on_build_done: Optional[Callable] = None
         self._lock = threading.Lock()
@@ -579,13 +580,16 @@ class RefreshCoordinator:
 
     def _submit(self, client: CoordinatedRefreshClient, ensemble,
                 history: np.ndarray, trigger_index: int,
-                generation: int, trace=None) -> RefreshHandle:
+                generation: int, trace=None, key=None) -> RefreshHandle:
         handle = RefreshHandle(trigger_index, generation)
-        # Identity dedup, the save_fleet notion of sharing: only streams
-        # scoring against the very same ensemble object would train the
-        # same replacement.  A live build holds its ensemble, so the id
-        # cannot be reused while the build can still be joined.
-        key = id(ensemble)
+        # Identity dedup by default, the save_fleet notion of sharing:
+        # only streams scoring against the very same ensemble object
+        # would train the same replacement.  A live build holds its
+        # ensemble, so the id cannot be reused while the build can still
+        # be joined.  The broker passes its port's key instead: identity
+        # cannot cross a process boundary.
+        if key is None:
+            key = id(ensemble)
         with self._lock:
             breaker = None
             if not self._admission.closed \
@@ -634,7 +638,7 @@ class RefreshCoordinator:
             trace[1].set_attribute("breaker_rejected", True)
             trace[1].end()
 
-    def _breaker_for_locked(self, key: int):
+    def _breaker_for_locked(self, key):
         """This ensemble's circuit breaker (created on first submission),
         or None when breaking is not configured.  Caller holds the lock."""
         if self.breaker_factory is None:

@@ -747,14 +747,17 @@ class TestServingRobustness:
         log = []
 
         async def handle(reader, writer):
-            while True:
-                request = await read_frame(reader)
-                if request is None:
-                    break
-                log.append(request["op"])
-                status = statuses.pop(0) if statuses else "ok"
-                await write_frame(writer, {"status": status,
-                                           "id": request.get("id")})
+            try:
+                while True:
+                    request = await read_frame(reader)
+                    if request is None:
+                        break
+                    log.append(request["op"])
+                    status = statuses.pop(0) if statuses else "ok"
+                    await write_frame(writer, {"status": status,
+                                               "id": request.get("id")})
+            finally:
+                writer.close()
 
         server = await asyncio.start_server(handle, "127.0.0.1", 0)
         return server, server.sockets[0].getsockname()[1], log
@@ -810,10 +813,15 @@ class TestServingRobustness:
     def test_client_deadline_raises_and_closes_connection(self):
         async def scenario():
             never = asyncio.Event()
+            handled = asyncio.Event()
 
             async def handle(reader, writer):
-                await read_frame(reader)
-                await never.wait()              # read, never reply
+                try:
+                    await read_frame(reader)
+                    await never.wait()          # read, never reply
+                finally:
+                    writer.close()
+                    handled.set()
 
             server = await asyncio.start_server(handle, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
@@ -823,6 +831,7 @@ class TestServingRobustness:
                 await client.healthz()
             closed = client._writer.is_closing()
             never.set()
+            await handled.wait()
             server.close()
             await server.wait_closed()
             return closed

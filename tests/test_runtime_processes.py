@@ -26,11 +26,14 @@ import numpy as np
 import pytest
 
 from repro.core import TrainingCancelled
+from repro.faults import FaultPlan, use_plan
 from repro.runtime import (BuildBroker, PackServedEnsemble,
-                           ProcessBuildPool, TornPackError, attach_pack,
-                           list_segments, publish_pack, unlink_pack)
+                           ProcessBuildPool, RetryPolicy, TornPackError,
+                           attach_pack, list_segments, publish_pack,
+                           unlink_pack)
 from repro.runtime import shm as shm_mod
-from repro.streaming import RefreshCoordinator, sharded_fleet
+from repro.streaming import (CoordinatorStats, RefreshCoordinator,
+                             sharded_fleet)
 from repro.streaming.refresh import RefreshReport
 from tests.conftest import fabricate_ensemble, sine_regime
 from tests.test_streaming_worker import ConstantEnsemble
@@ -396,6 +399,105 @@ class TestBuildBroker:
         finally:
             broker.shutdown()
         assert list_segments(shm_namespace) == []
+
+
+class TestHostParity:
+    """One scripted sequence, hosted two ways: an in-process
+    ``RefreshCoordinator`` over a ``ProcessBuildPool``, and a
+    ``BuildBroker``'s two ports.  The broker hosts the same coordinator,
+    so every request must resolve alike and the ledgers must match."""
+
+    @staticmethod
+    def fail_third_job():
+        """Fail the first attempt of the worker's third build job (hits
+        count per worker: the dedup build, the cancelled one, then the
+        retried one)."""
+        return FaultPlan().at("pool.build", hit=3, action="error")
+
+    @staticmethod
+    def run_script(coordinators, context):
+        """A dedup across two subscribers, a cancel of the last
+        subscriber, one failed build retried.  Returns each request's
+        ``(status, report trigger)`` and the host's final ledger."""
+        gate, history = context["gate"], sine_regime(32, seed=1)
+        shared = fabricate_ensemble()
+        shared._broker_key = "shared"
+        other = fabricate_ensemble(seed=3)
+        other._broker_key = "other"
+        first, second = (coordinator.client(ProcessGatedRefresher())
+                         for coordinator in coordinators)
+        ledger = coordinators[0].stats
+        handles = []
+
+        def resolve(client, handle):
+            assert client.join(GATE_TIMEOUT)
+            assert client.take() is handle
+            handles.append(handle)
+
+        # Dedup: the second subscriber joins the first's running build
+        # (the stats round trip queues behind its submit on a broker).
+        gate.clear()
+        leader = first.submit(shared, history, 10)
+        wait_started(context)
+        joiner = second.submit(shared, history, 11)
+        assert ledger().n_deduped == 1
+        gate.set()
+        resolve(first, leader)
+        resolve(second, joiner)
+        # Cancel: the build's only subscriber leaves mid-build.
+        gate.clear()
+        doomed = first.submit(other, history, 20)
+        wait_started(context)
+        assert first.discard() is doomed
+        handles.append(doomed)
+        deadline = time.monotonic() + GATE_TIMEOUT
+        while ledger().n_cancelled == 0:
+            assert time.monotonic() < deadline, "the cancel never landed"
+            time.sleep(0.01)
+        # Retry: the armed fault fails the first attempt; the backoff
+        # retry builds and resolves the same handle.
+        gate.set()
+        resolve(second, second.submit(shared, history, 30))
+        wait_started(context)          # only the successful attempt
+        return ([(handle.status, getattr(handle.report, "trigger_index",
+                                         None)) for handle in handles],
+                ledger())
+
+    def test_coordinator_and_broker_hosts_resolve_alike(self,
+                                                        shm_namespace,
+                                                        mp_handshake):
+        retry = RetryPolicy(max_retries=1, base_delay=0.001)
+        with use_plan(self.fail_third_job()):
+            pool = ProcessBuildPool(n_workers=1,
+                                    worker_context=mp_handshake)
+            coordinator = RefreshCoordinator(
+                retry=retry, build_runner=pool.build_runner)
+            try:
+                in_process = self.run_script([coordinator, coordinator],
+                                             mp_handshake)
+            finally:
+                coordinator.shutdown()
+                assert coordinator.drain(GATE_TIMEOUT)
+                pool.shutdown()
+        assert list_segments(shm_namespace) == []
+        with use_plan(self.fail_third_job()):
+            broker = BuildBroker(n_ports=2, n_workers=1,
+                                 worker_context=mp_handshake, retry=retry)
+            try:
+                brokered = self.run_script(
+                    [broker.coordinator(0), broker.coordinator(1)],
+                    mp_handshake)
+            finally:
+                broker.shutdown()
+        assert list_segments(shm_namespace) == []
+        assert brokered == in_process
+        assert in_process == (
+            [("ready", 10), ("ready", 11), ("discarded", None),
+             ("ready", 30)],
+            CoordinatorStats(n_requests=4, n_deduped=1, n_admitted=3,
+                             n_completed=2, n_failed=0, n_cancelled=1,
+                             n_queued=0, n_running=0, max_concurrent=1,
+                             n_retried=1))
 
 
 # ----------------------------------------------------------------------

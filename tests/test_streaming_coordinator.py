@@ -335,6 +335,37 @@ class TestDedup:
         stats = coordinator.stats()
         assert stats.n_completed == 2 and stats.n_deduped == 1
 
+    @pytest.mark.parametrize("key", ["shared-key", None])
+    def test_explicit_key_replaces_identity_as_the_dedup_key(
+            self, stream_ensemble, key):
+        """``_submit(key=)`` is the broker's dedup seam: two distinct
+        ensemble objects submitted under one key cost one build, fanned
+        out to both handles; without a key, identity keeps them two
+        builds."""
+        config = stream_ensemble.cae_config
+        gate = threading.Event()     # held until both submits landed
+        refresher = SlowRefresher(ConstantEnsemble(7.0, config), gate)
+        coordinator = RefreshCoordinator(max_concurrent_builds=2)
+        handles = [coordinator._submit(
+            coordinator.client(refresher), ConstantEnsemble(0.0, config),
+            sine_regime(40), trigger_index, 0, key=key)
+            for trigger_index in (10, 11)]
+        gate.set()
+        for handle in handles:
+            assert handle.wait(GATE_TIMEOUT) and handle.ready
+        assert [handle.report.trigger_index for handle in handles] \
+            == [10, 11]
+        assert coordinator.drain(GATE_TIMEOUT)
+        stats = coordinator.stats()
+        if key is None:
+            assert stats.n_admitted == 2 and stats.n_deduped == 0
+            assert len(refresher.build_calls) == 2
+        else:
+            assert stats.n_admitted == 1 and stats.n_deduped == 1
+            assert refresher.build_calls == [(10, "async", 0)]
+            assert handles[0].replacement is handles[1].replacement
+        assert stats.n_completed == stats.n_admitted
+
     def test_no_dedup_across_distinct_ensembles(self, stream_ensemble,
                                                 second_ensemble):
         """Sharing is identity, not architecture: streams on two equal-
